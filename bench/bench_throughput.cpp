@@ -294,7 +294,6 @@ std::vector<ScalingPoint> run_scaling_study(const flow::Trace& trace) {
     runtime::ShardedFcmFramework::Options options;
     options.framework = fw;
     options.shard_count = shards;
-    options.fanout = runtime::ShardedFcmFramework::Fanout::kHashByKey;
     options.metrics = with_metrics ? &obs::MetricsRegistry::global() : nullptr;
     runtime::ShardedFcmFramework sharded(options);
     // Ingest + rotate: the honest end-to-end cost of one epoch, including
@@ -319,7 +318,6 @@ std::vector<ScalingPoint> run_scaling_study(const flow::Trace& trace) {
     runtime::ShardedFcmFramework::Options options;
     options.framework = fw;
     options.shard_count = point.shards;
-    options.fanout = runtime::ShardedFcmFramework::Fanout::kHashByKey;
     options.flush_interval = std::chrono::milliseconds(1);
     options.metrics = &registry;
     runtime::ShardedFcmFramework sharded(options);
@@ -393,7 +391,6 @@ void run_block_sweep(const flow::Trace& trace) {
           runtime::ShardedFcmFramework::Options options;
           options.framework = fw;
           options.shard_count = shards;
-          options.fanout = runtime::ShardedFcmFramework::Fanout::kHashByKey;
           options.flush_batch = flush_batch;
           options.queue_capacity = capacity;
           options.metrics = nullptr;

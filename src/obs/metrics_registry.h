@@ -37,9 +37,9 @@
 
 namespace fcm::obs {
 
-// Cache-line size; matches common::kCacheLineBytes (the header-only
-// annotation header above is the only common/ dependency this header takes,
-// so it stays includable from the layers below common/).
+// Cache-line size; matches common::kCacheLineBytes in common/block_queue.h
+// (the header-only annotation header above is the only common/ dependency
+// this header takes, so it stays includable from the layers below common/).
 inline constexpr std::size_t kObsCacheLineBytes = 64;
 
 // Writer stripes per counter. Power of two; 16 covers the runtime's maximum

@@ -2,21 +2,21 @@
 //
 // The paper's data plane sustains line rate because every FCM update is an
 // independent O(1) register op; this runtime recovers that parallelism in
-// software. Producer threads hash-partition traffic into per-shard blocks
-// and hand WHOLE blocks to N shard workers over lock-free block rings
-// (common/block_queue.h); each worker owns a private FcmFramework replica
-// (plain FCM or FCM+TopK) and feeds popped blocks straight into the batched
-// ingest kernel (FcmFramework::process_batch), so the hot path is entirely
-// unsynchronized and pays one release store per ~flush_batch packets instead
-// of per packet. FCM counters are linear, so at each epoch boundary the N
-// shard replicas are merged into ONE logical sketch — bit-exact equal, for
-// the plain-FCM plane, to the sketch a serial run would hold (FcmTree::merge)
-// — and handed to the existing control plane (EM/FSD, entropy, heavy change)
-// unchanged.
+// software. The driver thread hash-partitions traffic by flow key into
+// per-shard blocks and hands WHOLE blocks to N shard workers over lock-free
+// block rings (common/block_queue.h); each worker owns a private
+// FcmFramework replica (plain FCM or FCM+TopK) and feeds popped blocks
+// straight into the batched ingest kernel (FcmFramework::process_batch), so
+// the hot path is entirely unsynchronized and pays one release store per
+// ~flush_batch packets instead of per packet. FCM counters are linear, so at
+// each epoch boundary the N shard replicas are merged into ONE logical
+// sketch — bit-exact equal, for the plain-FCM plane, to the sketch a serial
+// run would hold (FcmTree::merge) — and handed to the existing control plane
+// (EM/FSD, entropy, heavy change) unchanged.
 //
-// Block staging (DESIGN.md §13): every producer keeps one OPEN block per
-// shard, reserved in place inside that shard's ring (zero staging copy).
-// Span ingest bulk-hashes shard indices a kBatchBlock chunk at a time
+// Block staging (DESIGN.md §13): the driver keeps one OPEN block per shard,
+// reserved in place inside that shard's ring (zero staging copy). Span
+// ingest bulk-hashes shard indices a kBatchBlock chunk at a time
 // (SeededHash::index_batch — the same vectorizable kernel the sketch hashes
 // use) and scatters keys into the open blocks; a block that reaches
 // flush_batch keys is published with one release store. Optional adaptive
@@ -24,47 +24,33 @@
 // open longer than the deadline, so trickle traffic reaches the workers with
 // bounded latency instead of waiting for a rotation.
 //
-// Multi-producer ingest: Options::producer_count > 1 gives each extra
-// producer thread its own IngestHandle — per-producer staging plus a private
-// ring per (producer, shard) pair, so every ring stays strictly SPSC.
-// Ownership rules (machine-checked per handle via its ThreadRole):
-//   - exactly one thread drives each handle (and the driver thread, which
-//     owns handle 0 implicitly, is the only one that may rotate/stop);
-//   - secondary handles must be flushed and quiescent from before
-//     rotate_async()/stop() until the rotation completes (wait_epoch
-//     returns) — epoch markers travel only on the driver's rings, and a
-//     worker that pops one drains the secondary rings to empty to close the
-//     epoch, which is exact precisely because quiesced producers cannot be
-//     mid-publish.
-//
 // Epoch double-buffering: each worker holds TWO replica generations, active
 // and draining. rotate_async() pushes an in-band epoch marker block into
-// every driver ring; a worker that pops the marker flips to the other
-// generation and keeps consuming — ingest never stalls on a rotation. A
-// background epoch coordinator waits until every worker has flipped, merges
-// the drained generation (off the ingest path), derives the epoch report
+// every ring; a worker that pops the marker flips to the other generation
+// and keeps consuming — ingest never stalls on a rotation. A background
+// epoch coordinator waits until every worker has flipped, merges the
+// drained generation (off the ingest path), derives the epoch report
 // (cardinality, re-qualified heavy hitters, heavy changes vs. the previous
 // epoch, optional EM analysis), clears the drained replicas for reuse, and
 // publishes the merged framework into a bounded history.
 //
-// Heavy hitters under sharding: a flow split across shards can cross the
-// global threshold T only in aggregate, so shard replicas record candidates
-// at ceil(T / N) (pigeonhole: a flow with true count >= T has >= ceil(T/N)
-// packets in some shard, and FCM never underestimates, so some shard records
-// it). After the merge the coordinator re-qualifies the union against the
-// merged counters at T — flows below T globally are dropped, flows that
-// cross T only after merging are kept.
+// Heavy hitters under sharding: shard replicas record candidates at
+// ceil(T / N). That bound holds for ANY split of a flow across shards
+// (pigeonhole: a flow with true count >= T has >= ceil(T/N) packets in some
+// shard, and FCM never underestimates, so some shard records it); hash
+// fan-out keeps each flow whole on one shard, so it is conservative there.
+// After the merge the coordinator re-qualifies the deduplicated union
+// against the merged counters at T, dropping flows below T globally.
 //
 // Thread discipline (machine-checked, DESIGN.md §10): ingest(),
 // rotate_async(), rotate() and stop() must all be called from ONE driver
 // thread — expressed as the driver_role_ capability: the public driver entry
-// points assert it, the private helpers REQUIRE it, and driver-only state is
-// GUARDED_BY it. Each IngestHandle carries its own role capability guarding
-// its staging state the same way. wait_epoch()/merged_epoch()/last_report()
-// are safe from any thread (they only read mutex_-guarded published state).
-// The destructor stops and joins all threads; workers are std::jthread, so
-// teardown is exception-safe (tools/fcm_lint.py bans plain std::thread in
-// src/ for exactly this reason).
+// points assert it, the private staging helpers REQUIRE it, and driver-only
+// state (the open blocks included) is GUARDED_BY it.
+// wait_epoch()/merged_epoch()/flow_size() are safe from any thread (they
+// only read mutex_-guarded published state). The destructor stops and joins
+// all threads; workers are std::jthread, so teardown is exception-safe
+// (tools/fcm_lint.py bans plain std::thread in src/ for exactly this reason).
 #pragma once
 
 #include <atomic>
@@ -81,7 +67,6 @@
 
 #include "common/hash.h"
 #include "common/thread_annotations.h"
-#include "datapath/heavy_flow_cache.h"
 #include "framework/fcm_framework.h"
 #include "obs/metrics_registry.h"
 
@@ -89,66 +74,29 @@ namespace fcm::runtime {
 
 class ShardedFcmFramework {
  public:
-  // How packets are routed to shards.
-  enum class Fanout {
-    // Same flow -> same shard (hash of the key). Flows are never split, so
-    // per-shard heavy-hitter detection sees whole flows; load balance
-    // follows the flow-size distribution.
-    kHashByKey,
-    // Strict round-robin (per producer). Perfect load balance; flows are
-    // split across shards (merge keeps counts exact; heavy hitters rely on
-    // the ceil(T/N) per-shard threshold + post-merge re-qualification).
-    kRoundRobin,
-  };
-
   struct Options {
     // Per-logical-sketch configuration; each shard replica is built from it
     // (with the heavy-hitter threshold lowered to ceil(T / shard_count)).
     framework::FcmFramework::Options framework;
     std::size_t shard_count = 4;
-    // Ring capacity per (producer, shard) pair, in ITEMS; must be a power of
-    // two >= 2 and >= flush_batch. The ring actually holds
-    // queue_capacity / flush_batch whole blocks. Ingest applies backpressure
-    // (spins) when a ring is full.
+    // Ring capacity per shard, in ITEMS; must be a power of two >= 2 and
+    // >= flush_batch. The ring actually holds queue_capacity / flush_batch
+    // whole blocks. Ingest applies backpressure (spins) when a ring is full.
     std::size_t queue_capacity = 1 << 14;
     // Block size: keys are staged per shard directly into the in-ring block
     // and published flush_batch at a time, so one release store covers a
     // whole process_batch-sized run. Byte-count mode stages (key, bytes)
     // pairs, so it needs flush_batch >= 2.
     std::size_t flush_batch = 64;
-    // Ingest handles (producer threads). Handle 0 is the driver thread's own
-    // (the plain ingest() entry points); handles 1..producer_count-1 are
-    // claimed with ingest_handle() and may run on other threads. Each extra
-    // producer costs one ring per shard.
-    std::size_t producer_count = 1;
-    Fanout fanout = Fanout::kHashByKey;
     // Adaptive flush deadline: 0 (default) publishes blocks only when full
     // (or at rotation/stop). > 0 bounds staging latency — a partial block
-    // older than this is published at the next ingest call on its handle, so
-    // trickle traffic reaches the workers without waiting for a rotation.
+    // older than this is published at the next ingest call, so trickle
+    // traffic reaches the workers without waiting for a rotation.
     std::chrono::nanoseconds flush_interval{0};
-    // Pin each shard worker to logical CPU (shard index mod hardware
-    // concurrency) via common/affinity.h. A performance hint: platforms
-    // without an affinity API (or restricted cpusets) run unpinned.
-    bool pin_workers = false;
     // Merged epoch snapshots retained for cross-epoch queries (>= 1).
     std::size_t retained_epochs = 4;
     // 0: reuse framework.heavy_hitter_threshold for heavy-change detection.
     std::uint64_t heavy_change_threshold = 0;
-    // Exact-match heavy-flow cache in FRONT of the fan-out (DESIGN.md §12):
-    // 0 disables it. Hot flows are absorbed at the DRIVER — a cache hit
-    // never crosses a ring at all — and are demoted as one weighted
-    // block on eviction and at every rotation, so each merged epoch holds
-    // exactly the traffic ingested into it (the plain-FCM merged COUNTER
-    // state is bit-exact equal to a cache-off run; the on-path HH ledger is
-    // trajectory-dependent but never misses a truly heavy flow — the
-    // differential battery checks both). With the cache enabled,
-    // EpochReport::packets still counts true
-    // packets in kPackets mode, but in kBytes mode demotions collapse many
-    // packets into one ring block, so `packets` counts items there.
-    std::size_t cache_entries = 0;
-    std::size_t cache_ways = 4;       // set associativity (see HeavyFlowCache)
-    std::uint64_t cache_seed = 0xcac4e;
     // Run the (expensive) EM analysis on the merged sketch at each rotation.
     bool analyze_on_rotate = false;
     // Telemetry sink (DESIGN.md §8). Defaults to the process-global
@@ -171,12 +119,13 @@ class ShardedFcmFramework {
   // same quantities EpochManager::EpochSummary reports for the serial path.
   struct EpochReport {
     std::size_t index = 0;
+    // Packets ingested into this epoch, in either count mode.
     std::uint64_t packets = 0;
     // Payload bytes this epoch, tallied per shard in the same worker sweep
     // that applies the blocks (DESIGN.md §14's fold-into-one-pass rule).
-    // Meaningful in kBytes mode (pairs carry the size, weighted demotions
-    // carry summed bytes); 0 in kPackets mode, where sizes never cross the
-    // rings. Also exported per shard as fcm_runtime_shard_bytes_total.
+    // Meaningful in kBytes mode, where each staged pair carries its size; 0
+    // in kPackets mode, where sizes never cross the rings. Also exported per
+    // shard as fcm_runtime_shard_bytes_total.
     std::uint64_t bytes = 0;
     double cardinality = 0.0;
     // HyperLogLog sidecar estimate when framework.single_pass_sweep is on
@@ -191,66 +140,6 @@ class ShardedFcmFramework {
     // max-shard / mean-shard packet ratio (1.0 = perfectly balanced; only
     // meaningful when packets > 0 and shard_count > 1).
     double fanout_imbalance = 1.0;
-  };
-
-  // One producer's ingest endpoint: per-shard open blocks staged in place in
-  // that producer's private rings. Exactly ONE thread may drive a handle
-  // (its ThreadRole capability guards the staging state); see the ownership
-  // rules in the file comment for how handles interact with rotation.
-  class IngestHandle {
-   public:
-    IngestHandle(const IngestHandle&) = delete;
-    IngestHandle& operator=(const IngestHandle&) = delete;
-
-    void ingest(flow::FlowKey key);
-    void ingest(const flow::Packet& packet);
-    void ingest(std::span<const flow::FlowKey> keys);
-    void ingest(std::span<const flow::Packet> packets);
-    // Publishes every non-empty open block (partial blocks included) and
-    // hands empty reserved blocks back. REQUIRED before the driver rotates
-    // or stops (see ownership rules).
-    void flush();
-
-    std::size_t producer_index() const noexcept { return producer_; }
-
-   private:
-    friend class ShardedFcmFramework;
-
-    // A block reserved in the ring for one shard, being filled in place.
-    struct OpenBlock {
-      flow::FlowKey* slots = nullptr;  // null => no block reserved
-      std::uint32_t fill = 0;
-      // Set at first staging into the block when deadline flushing or the
-      // flush-latency histogram needs it.
-      std::chrono::steady_clock::time_point opened{};
-    };
-
-    IngestHandle(ShardedFcmFramework& owner, std::size_t producer);
-
-    void open_block(std::size_t shard) FCM_REQUIRES(role_);
-    void publish_block(std::size_t shard, std::uint32_t kind,
-                       std::uint64_t aux) FCM_REQUIRES(role_);
-    void stage_unit(std::size_t shard, flow::FlowKey key) FCM_REQUIRES(role_);
-    void stage_pair(std::size_t shard, flow::FlowKey key, std::uint32_t bytes)
-        FCM_REQUIRES(role_);
-    void stage_weighted(std::size_t shard, flow::FlowKey key,
-                        std::uint64_t weight) FCM_REQUIRES(role_);
-    void ingest_keys(std::span<const flow::FlowKey> keys) FCM_REQUIRES(role_);
-    void ingest_packets(std::span<const flow::Packet> packets)
-        FCM_REQUIRES(role_);
-    std::size_t route_shard(flow::FlowKey key) FCM_REQUIRES(role_);
-    // Deadline flush: publishes partial blocks older than flush_interval.
-    // Checked at the end of every public ingest call on this handle.
-    void maybe_deadline_flush() FCM_REQUIRES(role_);
-
-    ShardedFcmFramework& owner_;
-    const std::size_t producer_;
-    // The one-thread-per-handle contract as a capability (the producer
-    // analogue of driver_role_); all staging state below is guarded by it.
-    common::ThreadRole role_;
-    std::vector<OpenBlock> open_ FCM_GUARDED_BY(role_);
-    // Per-producer round-robin cursor (kRoundRobin fanout).
-    std::size_t rr_next_ FCM_GUARDED_BY(role_) = 0;
   };
 
   explicit ShardedFcmFramework(Options options);
@@ -270,21 +159,13 @@ class ShardedFcmFramework {
   void ingest(std::span<const flow::Packet> packets);
   void ingest(std::span<const flow::FlowKey> keys);
 
-  // Secondary producer endpoint `producer` in [1, producer_count): claim it
-  // once and drive it from exactly one thread. Handle 0 is the driver's own
-  // staging (used by the ingest() overloads above) and cannot be claimed —
-  // it routes through the heavy-flow cache and marker protocol, which are
-  // driver-only.
-  IngestHandle& ingest_handle(std::size_t producer);
-
   // Closes the current epoch without stalling ingest: pushes epoch markers
   // and returns immediately; the coordinator thread drains, merges, and
   // publishes in the background while workers fill the other generation.
   // At most one rotation is in flight: if the previous epoch is still
   // merging, this call first waits for it (ingest from this thread pauses,
-  // but the workers keep draining their rings meanwhile).
-  // Secondary handles must be flushed and quiescent (ownership rules above).
-  // Returns the epoch index to pass to wait_epoch().
+  // but the workers keep draining their rings meanwhile). Returns the epoch
+  // index to pass to wait_epoch().
   std::size_t rotate_async();
 
   // rotate_async() + wait_epoch(): the blocking, EpochManager-like rotation.
@@ -292,12 +173,13 @@ class ShardedFcmFramework {
 
   // Flushes staged items, drains and joins all threads. Implicit un-rotated
   // tail traffic is discarded with the active generation (rotate first if it
-  // matters). Secondary handles must be flushed and quiescent. Idempotent;
-  // called by the destructor.
+  // matters). Idempotent; called by the destructor.
   void stop();
 
   // --- results (any thread) ----------------------------------------------
   // Blocks until epoch `index` (a rotate_async() return value) is merged.
+  // Throws ContractViolation for an index no rotate_async() has returned
+  // yet, which would otherwise wait forever.
   EpochReport wait_epoch(std::size_t index);
 
   // Copy of the merged framework for a completed epoch, `back` epochs before
@@ -315,8 +197,8 @@ class ShardedFcmFramework {
   const Options& options() const noexcept { return options_; }
 
   // Per-shard ring-occupancy high-water marks as a fraction of ring blocks
-  // (max across producers; approximate, see BlockQueue::high_water_blocks).
-  // The scaling study's occupancy column. Safe from any thread.
+  // (approximate, see BlockQueue::high_water_blocks). The scaling study's
+  // occupancy column. Safe from any thread.
   std::vector<double> queue_high_water() const;
 
   // Structural invariants of all shard replicas and retained merged epochs.
@@ -333,17 +215,31 @@ class ShardedFcmFramework {
  private:
   struct Shard;
 
+  // A block reserved in one shard's ring, being filled in place.
+  struct OpenBlock {
+    flow::FlowKey* slots = nullptr;  // null => no block reserved
+    std::uint32_t fill = 0;
+    // Set at first staging into the block when deadline flushing or the
+    // flush-latency histogram needs it.
+    std::chrono::steady_clock::time_point opened{};
+  };
+
   void init_instruments();
-  // Driver-side routing helpers delegate to handle 0's staging (the driver
-  // thread owns both capabilities).
-  void route_item(flow::FlowKey key, std::uint32_t count)
+  // Block staging on the driver thread (DESIGN.md §13).
+  std::size_t route_shard(flow::FlowKey key) const;
+  void open_block(std::size_t shard) FCM_REQUIRES(driver_role_);
+  void publish_block(std::size_t shard, std::uint32_t kind)
       FCM_REQUIRES(driver_role_);
-  // Cache front end (no-ops when cache_ is null): per-item offer, epoch
-  // drain into the rings, and counter publication.
-  void offer_cached(flow::FlowKey key, std::uint32_t count)
+  void stage_unit(std::size_t shard, flow::FlowKey key)
       FCM_REQUIRES(driver_role_);
-  void drain_cache() FCM_REQUIRES(driver_role_);
-  void publish_cache_metrics() FCM_REQUIRES(driver_role_);
+  void stage_pair(std::size_t shard, flow::FlowKey key, std::uint32_t bytes)
+      FCM_REQUIRES(driver_role_);
+  // Deadline flush: publishes partial blocks older than flush_interval.
+  // Checked at the end of every public ingest call.
+  void maybe_deadline_flush() FCM_REQUIRES(driver_role_);
+  // Publishes every non-empty open block (partial blocks included) and hands
+  // empty reserved blocks back; run before the epoch markers and at stop().
+  void flush() FCM_REQUIRES(driver_role_);
   void worker_loop(Shard& shard);
   void coordinator_loop();
 
@@ -353,25 +249,20 @@ class ShardedFcmFramework {
   // the flush-latency histogram). Off when flush_interval == 0 so the
   // full-block fast path never reads the clock. Set once at construction.
   bool track_block_time_ = false;
-  // Flow -> shard mapping (kHashByKey): one SeededHash so the per-item path
+  // Flow -> shard mapping: one SeededHash so the per-item path
   // (index) and the span path (index_batch) are bit-identical by
   // construction (common/hash.h pins that equivalence).
   common::SeededHash shard_hash_;
   std::uint64_t per_shard_hh_threshold_ = 0;
   std::vector<std::unique_ptr<Shard>> shards_;
-  std::vector<std::unique_ptr<IngestHandle>> handles_;
 
   // The "one driver thread" contract as a capability: the thread that calls
   // ingest()/rotate*/stop() owns this role (asserted at those entry points),
   // and everything below it is driver-private state.
   common::ThreadRole driver_role_;
   bool stopped_ FCM_GUARDED_BY(driver_role_) = false;
-  // Driver-side heavy-flow cache (null when cache_entries == 0) and the
-  // cumulative counter values already pushed to the registry.
-  std::unique_ptr<datapath::HeavyFlowCache> cache_ FCM_GUARDED_BY(driver_role_);
-  std::uint64_t cache_published_hits_ FCM_GUARDED_BY(driver_role_) = 0;
-  std::uint64_t cache_published_misses_ FCM_GUARDED_BY(driver_role_) = 0;
-  std::uint64_t cache_published_evictions_ FCM_GUARDED_BY(driver_role_) = 0;
+  // One open block per shard, indexed by Shard::index.
+  std::vector<OpenBlock> open_ FCM_GUARDED_BY(driver_role_);
   // Producer-visible flag only; workers/coordinator use it for shutdown —
   // control state, not telemetry, so it is exempt from the raw-atomic rule.
   std::atomic<bool> stop_{false};  // fcm-lint: allow(raw-atomic)

@@ -8,10 +8,7 @@
 //     truth(f)  <=  estimate_cache_on(f)  <=  estimate_cache_off(f)
 //
 // (left side: the never-underestimate guarantee survives the cache; right
-// side: the cache can only remove error, not add it). The sharded half runs
-// the same differential through ShardedFcmFramework at N in {1, 4} shards —
-// CI repeats it under TSan, so the driver-side cache's epoch drain is also
-// raced against the coordinator.
+// side: the cache can only remove error, not add it).
 //
 // Scope of the bit-exact claim: COUNTER state. The on-path heavy-hitter
 // ledger records flows at the moment their own add crosses T, and the cache
@@ -37,7 +34,6 @@
 #include "flow/trace.h"
 #include "framework/fcm_framework.h"
 #include "property_harness.h"
-#include "runtime/sharded_framework.h"
 
 namespace fcm {
 namespace {
@@ -254,101 +250,6 @@ TEST(DatapathDifferential, ResetRestoresEmptyState) {
   EXPECT_EQ(WireCodec::serialize(cached.snapshot()),
             WireCodec::serialize(fresh.snapshot()));
 }
-
-// --- sharded runtime --------------------------------------------------------
-
-runtime::ShardedFcmFramework::Options sharded_options(
-    std::size_t shards, std::size_t cache_entries,
-    std::uint64_t threshold = 0) {
-  runtime::ShardedFcmFramework::Options options;
-  options.framework = plain_options(threshold);
-  options.shard_count = shards;
-  options.cache_entries = cache_entries;
-  options.metrics = nullptr;
-  return options;
-}
-
-class ShardedDifferential : public ::testing::TestWithParam<std::size_t> {};
-
-TEST_P(ShardedDifferential, MergedEpochsAreBitExactWithCacheOff) {
-  const std::size_t shards = GetParam();
-  runtime::ShardedFcmFramework cache_on(sharded_options(shards, 1024));
-  runtime::ShardedFcmFramework cache_off(sharded_options(shards, 0));
-
-  for (int epoch = 0; epoch < 3; ++epoch) {
-    const std::vector<flow::FlowKey> keys =
-        zipf_keys(kSeed + epoch, 40'000, 2'000);
-    cache_on.ingest(std::span<const flow::FlowKey>(keys));
-    cache_off.ingest(std::span<const flow::FlowKey>(keys));
-    const auto report_on = cache_on.rotate();
-    const auto report_off = cache_off.rotate();
-    // Totals conserved exactly: the epoch drain hands every cached unit back
-    // before the markers go in, so per-epoch packet counts agree.
-    EXPECT_EQ(report_on.packets, report_off.packets) << "epoch " << epoch;
-    EXPECT_EQ(report_on.packets, keys.size()) << "epoch " << epoch;
-    // And the merged sketch state is identical, byte for byte (threshold 0:
-    // pure counter state, no trajectory-dependent HH ledger).
-    EXPECT_EQ(WireCodec::serialize(cache_on.merged_epoch()),
-              WireCodec::serialize(cache_off.merged_epoch()))
-        << "epoch " << epoch;
-  }
-  cache_on.stop();
-  cache_off.stop();
-}
-
-TEST_P(ShardedDifferential, ThresholdRunsAgreeOnEstimatesAndTrueHeavyFlows) {
-  const std::size_t shards = GetParam();
-  runtime::ShardedFcmFramework cache_on(
-      sharded_options(shards, 1024, kThreshold));
-  runtime::ShardedFcmFramework cache_off(
-      sharded_options(shards, 0, kThreshold));
-  const std::vector<flow::FlowKey> keys = zipf_keys(kSeed, 40'000, 2'000);
-  cache_on.ingest(std::span<const flow::FlowKey>(keys));
-  cache_off.ingest(std::span<const flow::FlowKey>(keys));
-  const auto report_on = cache_on.rotate();
-  cache_off.rotate();
-  // Counter state is identical even with on-path detection enabled: every
-  // merged per-flow estimate agrees.
-  for (std::uint32_t id = 1; id <= 2'000; ++id) {
-    const flow::FlowKey key{id};
-    ASSERT_EQ(cache_on.flow_size(key), cache_off.flow_size(key))
-        << "flow " << id;
-  }
-  // The epoch drain demotes every cached unit before the markers, so the
-  // re-qualified report misses no truly heavy flow.
-  const std::unordered_set<flow::FlowKey> on(report_on.heavy_hitters.begin(),
-                                             report_on.heavy_hitters.end());
-  std::size_t truly_heavy = 0;
-  for (const auto& [key, count] : exact_counts(keys)) {
-    if (count >= kThreshold) {
-      ++truly_heavy;
-      EXPECT_TRUE(on.contains(key)) << "missed true HH " << key.value;
-    }
-  }
-  EXPECT_GT(truly_heavy, 5u);
-  // Every report clears the bar against the merged (identical) counters.
-  for (const flow::FlowKey key : report_on.heavy_hitters) {
-    EXPECT_GE(cache_on.flow_size(key), kThreshold) << "flow " << key.value;
-  }
-  cache_on.stop();
-  cache_off.stop();
-}
-
-TEST_P(ShardedDifferential, FlowSizeNeverUnderestimatesAfterRotation) {
-  const std::size_t shards = GetParam();
-  runtime::ShardedFcmFramework cache_on(sharded_options(shards, 512));
-  const std::vector<flow::FlowKey> keys = zipf_keys(kSeed, 40'000, 1'500);
-  cache_on.ingest(std::span<const flow::FlowKey>(keys));
-  cache_on.rotate();
-  for (const auto& [key, truth] : exact_counts(keys)) {
-    ASSERT_GE(cache_on.flow_size(key), truth)
-        << "sharded cache-on underestimates flow " << key.value;
-  }
-  cache_on.stop();
-}
-
-INSTANTIATE_TEST_SUITE_P(ShardCounts, ShardedDifferential,
-                         ::testing::Values(std::size_t{1}, std::size_t{4}));
 
 }  // namespace
 }  // namespace fcm

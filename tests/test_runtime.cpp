@@ -1,13 +1,13 @@
-// Tests for the sharded ingestion runtime (src/runtime/) and its SPSC ring.
+// Tests for the sharded ingestion runtime (src/runtime/) and its block ring.
 //
-// The headline property (ISSUE acceptance criterion): merged N-shard count
-// queries are bit-exact equal to a serial FcmSketch fed the same fixed-seed
-// trace, for N in {1, 2, 4, 8}. Also covered: the lock-free SpscQueue in
-// isolation and across threads, epoch double-buffering (two back-to-back
-// windows each serial-equivalent), non-stalling rotate_async, heavy-hitter
+// The headline property: merged N-shard count queries are bit-exact equal
+// to a serial FcmSketch fed the same fixed-seed trace, for N in
+// {1, 2, 4, 8}. Also covered: the lock-free BlockQueue in isolation and
+// across threads, epoch double-buffering (two back-to-back windows each
+// serial-equivalent), non-stalling rotate_async, heavy-hitter
 // re-qualification across shards at runtime level, byte mode, TopK mode,
-// backpressure under a tiny ring, teardown discipline, and option
-// validation via contracts.
+// backpressure under a tiny ring, fan-out imbalance, teardown discipline,
+// and option validation via contracts.
 //
 // CI runs this binary under TSan (FCM_SANITIZE=thread): every cross-thread
 // handoff in the runtime is exercised here.
@@ -17,7 +17,6 @@
 #include <algorithm>
 #include <chrono>
 #include <cstdint>
-#include <numeric>
 #include <random>
 #include <span>
 #include <thread>
@@ -26,7 +25,6 @@
 
 #include "common/block_queue.h"
 #include "common/contracts.h"
-#include "common/spsc_queue.h"
 #include "flow/flow_key.h"
 #include "flow/packet.h"
 #include "framework/fcm_framework.h"
@@ -37,7 +35,6 @@ namespace {
 
 using fcm::common::BlockQueue;
 using fcm::common::ContractViolation;
-using fcm::common::SpscQueue;
 using fcm::core::FcmConfig;
 using fcm::flow::FlowKey;
 using fcm::flow::Packet;
@@ -99,114 +96,6 @@ std::vector<FlowKey> distinct_keys(const std::vector<Packet>& trace) {
   std::sort(keys.begin(), keys.end());
   keys.erase(std::unique(keys.begin(), keys.end()), keys.end());
   return keys;
-}
-
-// --- SpscQueue: single-threaded semantics -----------------------------------
-
-TEST(SpscQueue, RejectsNonPowerOfTwoCapacity) {
-  EXPECT_THROW(SpscQueue<int>(0), ContractViolation);
-  EXPECT_THROW(SpscQueue<int>(1), ContractViolation);
-  EXPECT_THROW(SpscQueue<int>(3), ContractViolation);
-  EXPECT_THROW(SpscQueue<int>(100), ContractViolation);
-  EXPECT_NO_THROW(SpscQueue<int>(2));
-  EXPECT_NO_THROW(SpscQueue<int>(1 << 10));
-}
-
-TEST(SpscQueue, FifoOrderAndCapacityBound) {
-  SpscQueue<int> queue(8);
-  // Single-threaded test: this thread plays both SPSC roles.
-  queue.assume_producer();
-  queue.assume_consumer();
-  EXPECT_EQ(queue.capacity(), 8u);
-  for (int i = 0; i < 8; ++i) EXPECT_TRUE(queue.try_push(i));
-  EXPECT_FALSE(queue.try_push(99)) << "push into a full ring must fail";
-  EXPECT_EQ(queue.size_approx(), 8u);
-  for (int i = 0; i < 8; ++i) {
-    int out = -1;
-    ASSERT_TRUE(queue.try_pop(out));
-    EXPECT_EQ(out, i);
-  }
-  int out = -1;
-  EXPECT_FALSE(queue.try_pop(out)) << "pop from an empty ring must fail";
-  EXPECT_EQ(queue.size_approx(), 0u);
-}
-
-TEST(SpscQueue, BulkPushTakesWhatFitsAndBulkPopReturnsInOrder) {
-  SpscQueue<int> queue(8);
-  queue.assume_producer();
-  queue.assume_consumer();
-  std::vector<int> in(12);
-  std::iota(in.begin(), in.end(), 0);
-  EXPECT_EQ(queue.try_push_bulk(std::span<const int>(in)), 8u);
-
-  std::vector<int> out(5);
-  EXPECT_EQ(queue.try_pop_bulk(std::span<int>(out)), 5u);
-  for (int i = 0; i < 5; ++i) EXPECT_EQ(out[i], i);
-
-  // Room for 5 more; wrap-around path.
-  std::span<const int> rest(in.data() + 8, 4);
-  EXPECT_EQ(queue.try_push_bulk(rest), 4u);
-  std::vector<int> out2(16);
-  EXPECT_EQ(queue.try_pop_bulk(std::span<int>(out2)), 7u);
-  const int expect[] = {5, 6, 7, 8, 9, 10, 11};
-  for (int i = 0; i < 7; ++i) EXPECT_EQ(out2[i], expect[i]);
-}
-
-TEST(SpscQueue, WrapsManyTimesWithoutCorruption) {
-  SpscQueue<std::uint64_t> queue(4);
-  queue.assume_producer();
-  queue.assume_consumer();
-  std::uint64_t next_in = 0;
-  std::uint64_t next_out = 0;
-  for (int round = 0; round < 1000; ++round) {
-    while (queue.try_push(next_in)) ++next_in;
-    std::uint64_t v;
-    while (queue.try_pop(v)) {
-      ASSERT_EQ(v, next_out);
-      ++next_out;
-    }
-  }
-  EXPECT_EQ(next_in, next_out);
-  EXPECT_EQ(next_in, 4000u);
-}
-
-// --- SpscQueue: cross-thread handoff (TSan target) --------------------------
-
-TEST(SpscQueue, ThreadedHandoffDeliversEveryItemInOrder) {
-  constexpr std::uint64_t kItems = 200000;
-  SpscQueue<std::uint64_t> queue(1 << 8);
-
-  std::jthread consumer([&queue] {
-    queue.assume_consumer();
-    std::uint64_t expected = 0;
-    std::vector<std::uint64_t> batch(64);
-    while (expected < kItems) {
-      const std::size_t n = queue.try_pop_bulk(std::span<std::uint64_t>(batch));
-      if (n == 0) {
-        std::this_thread::yield();
-        continue;
-      }
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(batch[i], expected) << "items reordered or corrupted";
-        ++expected;
-      }
-    }
-  });
-
-  queue.assume_producer();  // the test main thread is the producer
-  std::vector<std::uint64_t> staged(32);
-  std::uint64_t next = 0;
-  while (next < kItems) {
-    const std::uint64_t n = std::min<std::uint64_t>(32, kItems - next);
-    for (std::uint64_t i = 0; i < n; ++i) staged[i] = next + i;
-    std::span<const std::uint64_t> pending(staged.data(), n);
-    while (!pending.empty()) {
-      const std::size_t pushed = queue.try_push_bulk(pending);
-      pending = pending.subspan(pushed);
-      if (!pending.empty()) std::this_thread::yield();
-    }
-    next += n;
-  }
 }
 
 // --- BlockQueue: block hand-off semantics ------------------------------------
@@ -320,62 +209,43 @@ TEST(BlockQueue, ThreadedBlockHandoffDeliversEveryBlockInOrder) {
 
 // --- ShardedFcmFramework: serial equivalence --------------------------------
 
-// The acceptance criterion: for N in {1,2,4,8}, ingesting a fixed-seed trace
-// through N shards and merging yields count queries bit-exact equal to one
-// serial framework. Round-robin fanout splits individual flows across
-// shards, which is the adversarial case for merge correctness.
+// For N in {1,2,4,8}, ingesting a fixed-seed trace through N shards and
+// merging yields count queries bit-exact equal to one serial framework, on
+// two traces of different size and flow count.
 TEST(ShardedRuntime, MergedCountsBitExactVersusSerialForAllShardCounts) {
-  const std::vector<Packet> trace = fixed_trace(0xfcf1ed);
-  const std::vector<FlowKey> keys = distinct_keys(trace);
+  for (const std::vector<Packet>& trace :
+       {fixed_trace(0xfcf1ed), fixed_trace(0xabcdef, 20000, 1000)}) {
+    const std::vector<FlowKey> keys = distinct_keys(trace);
 
-  FcmFramework serial(small_framework_options());
-  for (const Packet& packet : trace) serial.process(packet.key);
+    FcmFramework serial(small_framework_options());
+    for (const Packet& packet : trace) serial.process(packet.key);
 
-  for (std::size_t shard_count : {1u, 2u, 4u, 8u}) {
-    SCOPED_TRACE("shard_count=" + std::to_string(shard_count));
-    ShardedFcmFramework::Options options;
-    options.framework = small_framework_options();
-    options.shard_count = shard_count;
-    options.fanout = ShardedFcmFramework::Fanout::kRoundRobin;
+    for (std::size_t shard_count : {1u, 2u, 4u, 8u}) {
+      SCOPED_TRACE("packets=" + std::to_string(trace.size()) +
+                   " shard_count=" + std::to_string(shard_count));
+      ShardedFcmFramework::Options options;
+      options.framework = small_framework_options();
+      options.shard_count = shard_count;
 
-    ShardedFcmFramework sharded(options);
-    for (const Packet& packet : trace) sharded.ingest(packet.key);
-    const ShardedFcmFramework::EpochReport report = sharded.rotate();
+      ShardedFcmFramework sharded(options);
+      for (const Packet& packet : trace) sharded.ingest(packet.key);
+      const ShardedFcmFramework::EpochReport report = sharded.rotate();
 
-    EXPECT_EQ(report.packets, trace.size());
-    const FcmFramework merged = sharded.merged_epoch();
-    for (const FlowKey key : keys) {
-      ASSERT_EQ(merged.flow_size(key), serial.flow_size(key))
-          << "count query diverged for key " << key.value;
+      EXPECT_EQ(report.packets, trace.size());
+      const FcmFramework merged = sharded.merged_epoch();
+      for (const FlowKey key : keys) {
+        ASSERT_EQ(merged.flow_size(key), serial.flow_size(key))
+            << "count query diverged for key " << key.value;
+      }
+      // Never-seen keys agree too (shared hash family).
+      for (std::uint32_t probe = 1; probe <= 64; ++probe) {
+        const FlowKey key{0xdead0000u + probe};
+        ASSERT_EQ(merged.flow_size(key), serial.flow_size(key));
+      }
+      EXPECT_DOUBLE_EQ(report.cardinality, serial.cardinality());
+      EXPECT_DOUBLE_EQ(merged.cardinality(), serial.cardinality());
+      sharded.check_invariants();
     }
-    // Never-seen keys agree too (shared hash family).
-    for (std::uint32_t probe = 1; probe <= 64; ++probe) {
-      const FlowKey key{0xdead0000u + probe};
-      ASSERT_EQ(merged.flow_size(key), serial.flow_size(key));
-    }
-    EXPECT_DOUBLE_EQ(report.cardinality, serial.cardinality());
-    EXPECT_DOUBLE_EQ(merged.cardinality(), serial.cardinality());
-    sharded.check_invariants();
-  }
-}
-
-TEST(ShardedRuntime, HashFanoutIsAlsoSerialEquivalent) {
-  const std::vector<Packet> trace = fixed_trace(0xabcdef, 20000, 1000);
-  const std::vector<FlowKey> keys = distinct_keys(trace);
-
-  FcmFramework serial(small_framework_options());
-  for (const Packet& packet : trace) serial.process(packet.key);
-
-  ShardedFcmFramework::Options options;
-  options.framework = small_framework_options();
-  options.shard_count = 4;
-  options.fanout = ShardedFcmFramework::Fanout::kHashByKey;
-  ShardedFcmFramework sharded(options);
-  for (const Packet& packet : trace) sharded.ingest(packet.key);
-  sharded.rotate();
-  const FcmFramework merged = sharded.merged_epoch();
-  for (const FlowKey key : keys) {
-    ASSERT_EQ(merged.flow_size(key), serial.flow_size(key));
   }
 }
 
@@ -392,7 +262,6 @@ TEST(ShardedRuntime, ByteModeCountsBytesExactly) {
   ShardedFcmFramework::Options options;
   options.framework = fw;
   options.shard_count = 4;
-  options.fanout = ShardedFcmFramework::Fanout::kRoundRobin;
   ShardedFcmFramework sharded(options);
   sharded.ingest(std::span<const Packet>(trace));
   sharded.rotate();
@@ -418,7 +287,6 @@ TEST(ShardedRuntime, TopKModeNeverUnderestimatesAndMatchesSerialHeavyFlows) {
   ShardedFcmFramework::Options options;
   options.framework = fw;
   options.shard_count = 4;
-  options.fanout = ShardedFcmFramework::Fanout::kRoundRobin;
   ShardedFcmFramework sharded(options);
   for (const Packet& packet : trace) sharded.ingest(packet.key);
   const auto report = sharded.rotate();
@@ -441,11 +309,10 @@ TEST(ShardedRuntime, TopKModeNeverUnderestimatesAndMatchesSerialHeavyFlows) {
 
 // --- heavy hitters across shards --------------------------------------------
 
-// Runtime-level regression for the satellite: a flow that crosses the global
-// threshold only in aggregate (each shard sees < T) must still be reported,
-// and flows below T globally must not be (candidates are re-qualified
-// against the merged sketch, deduplicated).
-TEST(ShardedRuntime, HeavyHitterCrossesThresholdOnlyAfterMerge) {
+// Shard replicas record candidates at ceil(T/N) = 100; the coordinator must
+// re-qualify them against the merged counters at T and deduplicate, so a
+// flow at or above T is reported once and flows below T globally are not.
+TEST(ShardedRuntime, HeavyHittersRequalifiedAtGlobalThresholdAndDeduplicated) {
   constexpr std::uint64_t kThreshold = 400;
   FcmFramework::Options fw = small_framework_options();
   fw.heavy_hitter_threshold = kThreshold;
@@ -453,22 +320,22 @@ TEST(ShardedRuntime, HeavyHitterCrossesThresholdOnlyAfterMerge) {
   ShardedFcmFramework::Options options;
   options.framework = fw;
   options.shard_count = 4;
-  options.fanout = ShardedFcmFramework::Fanout::kRoundRobin;
   ShardedFcmFramework sharded(options);
 
-  const FlowKey split_flow{0x0a000001};   // 600 packets, 150 per shard < 400
-  const FlowKey small_flow{0x0a000002};   // 200 packets: below T globally
+  const FlowKey heavy_flow{0x0a000001};   // 600 packets: >= T
+  const FlowKey small_flow{0x0a000002};   // 200 packets: >= ceil(T/N), < T
   const FlowKey tiny_flow{0x0a000003};    // 80 packets: below even ceil(T/N)
-  for (int i = 0; i < 600; ++i) sharded.ingest(split_flow);
+  for (int i = 0; i < 600; ++i) sharded.ingest(heavy_flow);
   for (int i = 0; i < 200; ++i) sharded.ingest(small_flow);
   for (int i = 0; i < 80; ++i) sharded.ingest(tiny_flow);
 
   const auto report = sharded.rotate();
   const auto& hh = report.heavy_hitters;
-  EXPECT_TRUE(std::find(hh.begin(), hh.end(), split_flow) != hh.end())
-      << "flow crossing T only after merging was dropped";
+  EXPECT_TRUE(std::find(hh.begin(), hh.end(), heavy_flow) != hh.end())
+      << "flow at or above T was dropped";
+  EXPECT_TRUE(std::find(hh.begin(), hh.end(), small_flow) == hh.end())
+      << "per-shard candidate below T survived re-qualification";
   EXPECT_TRUE(std::find(hh.begin(), hh.end(), tiny_flow) == hh.end());
-  // No duplicates even though several shards recorded the same candidate.
   auto sorted = hh;
   std::sort(sorted.begin(), sorted.end());
   EXPECT_TRUE(std::adjacent_find(sorted.begin(), sorted.end()) == sorted.end())
@@ -494,7 +361,6 @@ TEST(ShardedRuntime, BackToBackEpochsEachMatchTheirSerialWindow) {
   ShardedFcmFramework::Options options;
   options.framework = small_framework_options();
   options.shard_count = 4;
-  options.fanout = ShardedFcmFramework::Fanout::kRoundRobin;
   options.retained_epochs = 2;
   ShardedFcmFramework sharded(options);
 
@@ -529,7 +395,6 @@ TEST(ShardedRuntime, HeavyChangesReportedAcrossEpochs) {
   ShardedFcmFramework::Options options;
   options.framework = fw;
   options.shard_count = 2;
-  options.fanout = ShardedFcmFramework::Fanout::kRoundRobin;
   ShardedFcmFramework sharded(options);
 
   const FlowKey surging{0xc0ffee01};
@@ -599,6 +464,23 @@ TEST(ShardedRuntime, RetainedEpochWindowSlidesAndExpiredEpochsThrow) {
   EXPECT_EQ(sharded.flow_size(FlowKey{4}), 1u);
 }
 
+// An index no rotate_async() has returned would never be merged: wait_epoch
+// must refuse it instead of blocking forever, before and after stop().
+TEST(ShardedRuntime, WaitEpochRejectsUnrequestedEpochs) {
+  ShardedFcmFramework::Options options;
+  options.framework = small_framework_options();
+  options.shard_count = 2;
+  ShardedFcmFramework sharded(options);
+  sharded.ingest(FlowKey{1});
+  EXPECT_THROW(sharded.wait_epoch(0), ContractViolation);
+  EXPECT_EQ(sharded.rotate().index, 0u);
+  EXPECT_EQ(sharded.wait_epoch(0).index, 0u);
+  EXPECT_THROW(sharded.wait_epoch(1), ContractViolation);
+  sharded.stop();
+  EXPECT_EQ(sharded.wait_epoch(0).index, 0u);
+  EXPECT_THROW(sharded.wait_epoch(1), ContractViolation);
+}
+
 // --- backpressure and teardown ----------------------------------------------
 
 TEST(ShardedRuntime, TinyQueueBackpressureLosesNothing) {
@@ -607,7 +489,6 @@ TEST(ShardedRuntime, TinyQueueBackpressureLosesNothing) {
   options.shard_count = 4;
   options.queue_capacity = 64;  // force constant ring-full backpressure
   options.flush_batch = 16;
-  options.fanout = ShardedFcmFramework::Fanout::kRoundRobin;
   ShardedFcmFramework sharded(options);
 
   const std::vector<Packet> trace = fixed_trace(0x7e57, 30000, 1000);
@@ -647,112 +528,6 @@ TEST(ShardedRuntime, StopIsIdempotentAndDestructorIsSafeWithoutRotation) {
     // Results remain queryable after stop().
     EXPECT_EQ(sharded.flow_size(FlowKey{1}), 1u);
     EXPECT_EQ(sharded.epochs_completed(), 1u);
-  }
-}
-
-// --- multi-producer ingest ----------------------------------------------------
-
-// Several capture threads feed one runtime through their own IngestHandles
-// (per-producer rings keep every ring strictly SPSC). FCM counters are linear
-// and order-independent, so the merged epoch must be bit-exact equal to a
-// serial run over the union of all slices — no matter how the producer
-// threads interleave. CI runs this under TSan: every handle/ring hand-off and
-// the quiesce-before-rotate protocol is exercised across real threads.
-TEST(ShardedRuntime, MultiProducerIngestBitExactVersusSerial) {
-  const std::vector<Packet> trace = fixed_trace(0x3097, 30000, 1200);
-  FcmFramework serial(small_framework_options());
-  for (const Packet& packet : trace) serial.process(packet.key);
-
-  std::vector<FlowKey> keys;
-  keys.reserve(trace.size());
-  for (const Packet& packet : trace) keys.push_back(packet.key);
-  const std::size_t third = keys.size() / 3;
-  const std::span<const FlowKey> all(keys);
-  const auto driver_slice = all.subspan(0, third);
-  const auto slice1 = all.subspan(third, third);
-  const auto slice2 = all.subspan(2 * third);
-
-  ShardedFcmFramework::Options options;
-  options.framework = small_framework_options();
-  options.shard_count = 4;
-  options.producer_count = 3;
-  ShardedFcmFramework sharded(options);
-
-  {
-    // Secondary producers: one span-heavy, one per-key, both flushing before
-    // they exit — joined before rotate_async(), which is exactly the
-    // "flushed and quiescent across rotation" ownership rule.
-    std::jthread producer1([&sharded, slice1] {
-      auto& handle = sharded.ingest_handle(1);
-      std::span<const FlowKey> rest = slice1;
-      while (!rest.empty()) {
-        const std::size_t n = std::min<std::size_t>(333, rest.size());
-        handle.ingest(rest.subspan(0, n));
-        rest = rest.subspan(n);
-      }
-      handle.flush();
-    });
-    std::jthread producer2([&sharded, slice2] {
-      auto& handle = sharded.ingest_handle(2);
-      for (const FlowKey key : slice2) handle.ingest(key);
-      handle.flush();
-    });
-    sharded.ingest(driver_slice);  // the driver ingests its own slice meanwhile
-  }
-
-  const auto report = sharded.rotate();
-  EXPECT_EQ(report.packets, keys.size())
-      << "multi-producer traffic lost or double-counted";
-  const FcmFramework merged = sharded.merged_epoch();
-  for (const FlowKey key : distinct_keys(trace)) {
-    ASSERT_EQ(merged.flow_size(key), serial.flow_size(key));
-  }
-  sharded.check_invariants();
-}
-
-// A second epoch after the producers re-attach (new threads re-driving the
-// same handles) stays exact: the quiesce window only spans the rotation.
-TEST(ShardedRuntime, MultiProducerSecondEpochAfterRequiesce) {
-  const std::vector<Packet> window_a = fixed_trace(0x51, 8000, 500);
-  const std::vector<Packet> window_b = fixed_trace(0x52, 8000, 500);
-  FcmFramework serial_a(small_framework_options());
-  for (const Packet& packet : window_a) serial_a.process(packet.key);
-  FcmFramework serial_b(small_framework_options());
-  for (const Packet& packet : window_b) serial_b.process(packet.key);
-
-  ShardedFcmFramework::Options options;
-  options.framework = small_framework_options();
-  options.shard_count = 2;
-  options.producer_count = 2;
-  options.retained_epochs = 2;
-  ShardedFcmFramework sharded(options);
-
-  const auto feed_epoch = [&sharded](const std::vector<Packet>& window) {
-    const std::size_t half = window.size() / 2;
-    std::jthread producer([&sharded, &window, half] {
-      auto& handle = sharded.ingest_handle(1);
-      for (std::size_t i = half; i < window.size(); ++i) {
-        handle.ingest(window[i].key);
-      }
-      handle.flush();
-    });
-    for (std::size_t i = 0; i < half; ++i) sharded.ingest(window[i].key);
-  };
-
-  feed_epoch(window_a);
-  const auto report_a = sharded.rotate();
-  feed_epoch(window_b);
-  const auto report_b = sharded.rotate();
-
-  EXPECT_EQ(report_a.packets, window_a.size());
-  EXPECT_EQ(report_b.packets, window_b.size());
-  const FcmFramework merged_b = sharded.merged_epoch(0);
-  const FcmFramework merged_a = sharded.merged_epoch(1);
-  for (const FlowKey key : distinct_keys(window_a)) {
-    ASSERT_EQ(merged_a.flow_size(key), serial_a.flow_size(key));
-  }
-  for (const FlowKey key : distinct_keys(window_b)) {
-    ASSERT_EQ(merged_b.flow_size(key), serial_b.flow_size(key));
   }
 }
 
@@ -802,25 +577,24 @@ TEST(ShardedRuntime, AdaptiveFlushPublishesPartialBlocksBeforeRotation) {
   }
 }
 
-// --- pinning and occupancy ----------------------------------------------------
+// --- fan-out and ring telemetry ------------------------------------------------
 
-TEST(ShardedRuntime, PinWorkersIsExactAndDegradesGracefully) {
-  // Pinning is a performance hint (no-op where unsupported); results must be
-  // identical either way, on any core count.
-  const std::vector<Packet> trace = fixed_trace(0x919, 10000, 600);
-  FcmFramework serial(small_framework_options());
-  for (const Packet& packet : trace) serial.process(packet.key);
-
-  ShardedFcmFramework::Options options;
-  options.framework = small_framework_options();
-  options.shard_count = 2;
-  options.pin_workers = true;
-  ShardedFcmFramework sharded(options);
-  for (const Packet& packet : trace) sharded.ingest(packet.key);
-  sharded.rotate();
-  const FcmFramework merged = sharded.merged_epoch();
-  for (const FlowKey key : distinct_keys(trace)) {
-    ASSERT_EQ(merged.flow_size(key), serial.flow_size(key));
+// Hash fan-out sends every packet of a flow to one shard, so a single-flow
+// epoch on N shards has max/mean = P / (P / N) = N exactly; one shard is
+// trivially balanced.
+TEST(ShardedRuntime, FanoutImbalanceOfSingleFlowEpochEqualsShardCount) {
+  for (std::size_t shard_count : {1u, 2u, 4u}) {
+    SCOPED_TRACE("shard_count=" + std::to_string(shard_count));
+    ShardedFcmFramework::Options options;
+    options.framework = small_framework_options();
+    options.shard_count = shard_count;
+    options.metrics = nullptr;
+    ShardedFcmFramework sharded(options);
+    for (int i = 0; i < 1024; ++i) sharded.ingest(FlowKey{0x0badf00d});
+    const auto report = sharded.rotate();
+    EXPECT_EQ(report.packets, 1024u);
+    EXPECT_DOUBLE_EQ(report.fanout_imbalance,
+                     static_cast<double>(shard_count));
   }
 }
 
@@ -828,7 +602,6 @@ TEST(ShardedRuntime, QueueHighWaterReportsPerShardFractions) {
   ShardedFcmFramework::Options options;
   options.framework = small_framework_options();
   options.shard_count = 2;
-  options.fanout = ShardedFcmFramework::Fanout::kRoundRobin;
   ShardedFcmFramework sharded(options);
   const std::vector<Packet> trace = fixed_trace(0x44, 20000, 800);
   for (const Packet& packet : trace) sharded.ingest(packet.key);
@@ -862,8 +635,6 @@ TEST(ShardedRuntime, RejectsInvalidOptions) {
                }),
                ContractViolation);
   EXPECT_THROW(make([](auto& o) { o.retained_epochs = 0; }), ContractViolation);
-  EXPECT_THROW(make([](auto& o) { o.producer_count = 0; }), ContractViolation);
-  EXPECT_THROW(make([](auto& o) { o.producer_count = 65; }), ContractViolation);
   EXPECT_THROW(
       make([](auto& o) { o.flush_interval = std::chrono::nanoseconds(-1); }),
       ContractViolation);
@@ -873,23 +644,6 @@ TEST(ShardedRuntime, RejectsInvalidOptions) {
                  o.flush_batch = 1;
                }),
                ContractViolation);
-}
-
-TEST(ShardedRuntime, IngestHandleClaimsValidated) {
-  ShardedFcmFramework::Options options;
-  options.framework = small_framework_options();
-  options.shard_count = 2;
-  options.producer_count = 2;
-  ShardedFcmFramework sharded(options);
-  EXPECT_THROW(sharded.ingest_handle(0), ContractViolation)
-      << "handle 0 is the driver's own staging";
-  EXPECT_THROW(sharded.ingest_handle(2), ContractViolation);
-  auto& handle = sharded.ingest_handle(1);
-  EXPECT_EQ(handle.producer_index(), 1u);
-  handle.ingest(FlowKey{42});
-  handle.flush();
-  sharded.rotate();
-  EXPECT_EQ(sharded.flow_size(FlowKey{42}), 1u);
 }
 
 TEST(ShardedRuntime, ByteModeRejectsZeroBytePackets) {
