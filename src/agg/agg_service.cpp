@@ -47,6 +47,7 @@ struct AggregationService::Instruments {
   // One counter per DeliveryStatus, indexed by the enum's value.
   std::array<obs::Counter*, std::size(kAllStatuses)> by_status{};
   std::vector<obs::Counter*> vantage_bytes;  // one series per vantage id
+  obs::Histogram* decode_seconds = nullptr;   // per-snapshot deserialize time
   obs::Histogram* merge_seconds = nullptr;    // per-snapshot merge time
   obs::Histogram* publish_seconds = nullptr;  // view build + install time
   obs::Gauge* published_epoch = nullptr;      // watermark
@@ -97,6 +98,10 @@ AggregationService::AggregationService(Options options)
         &registry->counter("fcm_agg_vantage_bytes_total", std::move(labels),
                            "Wire bytes accepted per vantage point"));
   }
+  instruments->decode_seconds = &registry->histogram(
+      "fcm_agg_decode_seconds", obs::Histogram::latency_bounds(), base_labels(),
+      "Per-snapshot wire decode (deserialize_framework) time, rejected "
+      "payloads included");
   instruments->merge_seconds = &registry->histogram(
       "fcm_agg_merge_seconds", obs::Histogram::latency_bounds(), base_labels(),
       "Per-snapshot deserialize-free merge time into the pending epoch");
@@ -156,6 +161,8 @@ DeliveryStatus AggregationService::deliver(SnapshotEnvelope envelope) {
   // input.
   std::optional<framework::FcmFramework> snapshot;
   try {
+    obs::ScopedTimer timer(instruments_ ? instruments_->decode_seconds
+                                        : nullptr);
     snapshot.emplace(
         WireCodec::deserialize_framework(envelope.payload, options_.metrics));
   } catch (const common::ContractViolation&) {

@@ -128,8 +128,9 @@ class AggregationService final : public SnapshotSink {
     bool analyze_on_publish = false;
 
     // Telemetry (DESIGN.md §8): snapshot/reject counters, per-vantage
-    // bytes, merge/publish latency, staleness. nullptr runs uninstrumented;
-    // the single-knob rule applies — this overrides reference.metrics.
+    // bytes, decode/merge/publish latency, staleness. nullptr runs
+    // uninstrumented; the single-knob rule applies — this overrides
+    // reference.metrics.
     obs::MetricsRegistry* metrics = &obs::MetricsRegistry::global();
     // Label distinguishing this service's series when several share one
     // registry.

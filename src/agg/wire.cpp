@@ -24,6 +24,11 @@ std::uint64_t stage_elem_bytes(unsigned bits) {
   return bits <= 8 ? 1 : bits <= 16 ? 2 : 4;
 }
 
+// Bytes encode_config writes.
+std::size_t config_bytes(const core::FcmConfig& config) {
+  return 4 + 4 + 8 + 8 + 1 + config.stage_count();
+}
+
 // Bytes one tree's state section occupies: promotions + per-stage arrays.
 std::uint64_t tree_state_bytes(const core::FcmConfig& config) {
   std::uint64_t total = 8;  // promotions
@@ -32,6 +37,49 @@ std::uint64_t tree_state_bytes(const core::FcmConfig& config) {
              stage_elem_bytes(config.stage_bits[l - 1]);
   }
   return total;
+}
+
+// The counter-array loops, one instantiation per element width (1, 2 or 4
+// bytes per value, through detail::store_le / load_le).
+//
+// put_uints encodes runs of kPutRun values into a local byte array and
+// copies each run out whole: the local cannot alias the counters, so both
+// loops vectorize; the tail is encoded value by value.
+constexpr std::size_t kPutRun = 16;
+
+template <std::size_t Width>
+void put_uints(std::span<std::byte> out,
+               std::span<const std::uint32_t> values) noexcept {
+  const std::size_t runs_end = values.size() - values.size() % kPutRun;
+  for (std::size_t base = 0; base < runs_end; base += kPutRun) {
+    std::array<std::byte, kPutRun * Width> run;
+    for (std::size_t j = 0; j < kPutRun; ++j) {
+      detail::store_le(std::span(run).subspan(j * Width, Width),
+                       values[base + j], std::make_index_sequence<Width>{});
+    }
+    for (std::size_t j = 0; j < run.size(); ++j) out[base * Width + j] = run[j];
+  }
+  for (std::size_t i = runs_end; i < values.size(); ++i) {
+    detail::store_le(out.subspan(i * Width, Width), values[i],
+                     std::make_index_sequence<Width>{});
+  }
+}
+
+// Returns the bitwise OR of the decoded values: for an all-ones bound
+// 2^b - 1 (a stage's overflow marker), OR <= bound iff every value is, so
+// one comparison range-checks the whole array. An OR reduction has no
+// loop-carried compare, unlike a running max.
+template <std::size_t Width>
+std::uint32_t get_uints(std::span<const std::byte> in,
+                        std::span<std::uint32_t> values) noexcept {
+  std::uint32_t any_bits = 0;
+  for (std::size_t i = 0; i < values.size(); ++i) {
+    const std::uint32_t v = detail::load_le<std::uint32_t>(
+        in.subspan(i * Width, Width), std::make_index_sequence<Width>{});
+    values[i] = v;
+    any_bits |= v;
+  }
+  return any_bits;
 }
 
 void require_valid_config(const core::FcmConfig& config) {
@@ -47,6 +95,42 @@ void require_valid_config(const core::FcmConfig& config) {
 }
 
 }  // namespace
+
+// --- bulk counter arrays ----------------------------------------------------
+
+void WireWriter::uints(std::span<const std::uint32_t> values,
+                       std::size_t width) {
+  const std::span<std::byte> out = claim(values.size() * width);
+  switch (width) {
+    case 1:
+      put_uints<1>(out, values);
+      return;
+    case 2:
+      put_uints<2>(out, values);
+      return;
+    default:
+      FCM_ASSERT(width == 4,
+                 "WireWriter::uints: element width must be 1, 2 or 4");
+      put_uints<4>(out, values);
+      return;
+  }
+}
+
+std::uint32_t WireReader::uints(std::span<std::uint32_t> out,
+                                std::size_t width) {
+  const std::span<const std::byte> in =
+      take(out.size() * width, "wire: truncated buffer (counter array)");
+  switch (width) {
+    case 1:
+      return get_uints<1>(in, out);
+    case 2:
+      return get_uints<2>(in, out);
+    default:
+      FCM_ASSERT(width == 4,
+                 "WireReader::uints: element width must be 1, 2 or 4");
+      return get_uints<4>(in, out);
+  }
+}
 
 // --- fingerprints -----------------------------------------------------------
 
@@ -119,20 +203,16 @@ std::uint64_t WireCodec::merge_fingerprint(
 
 // --- frame helpers ----------------------------------------------------------
 
-std::vector<std::byte> WireCodec::frame(WireType type,
-                                        std::uint64_t fingerprint,
-                                        WireWriter&& payload) {
-  WireWriter out;
+WireWriter WireCodec::begin_frame(WireType type, std::uint64_t fingerprint,
+                                  std::size_t payload_bytes) {
+  WireWriter out(kFrameHeaderBytes + payload_bytes);
   for (const std::uint8_t m : kMagic) out.u8(m);
   out.u16(kWireVersion);
   out.u8(static_cast<std::uint8_t>(type));
   out.u8(0);  // reserved
   out.u64(fingerprint);
-  out.u64(payload.size());
-  std::vector<std::byte> head = out.take();
-  std::vector<std::byte> body = payload.take();
-  head.insert(head.end(), body.begin(), body.end());
-  return head;
+  out.u64(payload_bytes);
+  return out;
 }
 
 WireHeader WireCodec::peek(std::span<const std::byte> buffer) {
@@ -220,16 +300,7 @@ void WireCodec::encode_tree_state(WireWriter& out, const core::FcmTree& tree) {
   out.u64(tree.promotions_);
   const core::FcmConfig& config = tree.config();
   for (std::size_t l = 1; l <= config.stage_count(); ++l) {
-    const std::uint64_t elem = stage_elem_bytes(config.stage_bits[l - 1]);
-    for (const std::uint32_t value : tree.stages_[l - 1]) {
-      if (elem == 1) {
-        out.u8(static_cast<std::uint8_t>(value));
-      } else if (elem == 2) {
-        out.u16(static_cast<std::uint16_t>(value));
-      } else {
-        out.u32(value);
-      }
-    }
+    out.uints(tree.stages_[l - 1], stage_elem_bytes(config.stage_bits[l - 1]));
   }
 }
 
@@ -237,31 +308,26 @@ void WireCodec::decode_tree_state(WireReader& in, core::FcmTree& tree) {
   const core::FcmConfig& config = tree.config();
   tree.promotions_ = in.u64();
   for (std::size_t l = 1; l <= config.stage_count(); ++l) {
-    const unsigned bits = config.stage_bits[l - 1];
-    const std::uint64_t elem = stage_elem_bytes(bits);
-    const std::size_t width = config.width(l);
-    in.require_payload(width, elem);
-    // The overflow marker 2^b - 1 is the largest storable value.
-    const std::uint64_t marker = config.counting_max(l) + 1;
     std::vector<std::uint32_t>& stage = tree.stages_[l - 1];
-    for (std::size_t i = 0; i < width; ++i) {
-      const std::uint32_t value =
-          elem == 1 ? in.u8() : elem == 2 ? in.u16() : in.u32();
-      FCM_REQUIRE(value <= marker,
-                  "wire: tree node value exceeds its stage bit width "
-                  "(corrupt or hostile buffer)");
-      stage[i] = value;
-    }
+    const std::uint64_t elem = stage_elem_bytes(config.stage_bits[l - 1]);
+    // The overflow marker 2^b - 1 is the largest storable value; it is all
+    // ones, so the OR of the stage's values fits it iff every value does.
+    const std::uint64_t marker = config.counting_max(l) + 1;
+    FCM_REQUIRE(in.uints(stage, elem) <= marker,
+                "wire: tree node value exceeds its stage bit width "
+                "(corrupt or hostile buffer)");
   }
-  tree.check_invariants();
 }
 
 std::vector<std::byte> WireCodec::serialize(const core::FcmTree& tree) {
-  WireWriter payload;
-  encode_config(payload, tree.config());
-  payload.u32(tree.hash().seed());
-  encode_tree_state(payload, tree);
-  return frame(WireType::kFcmTree, fingerprint_tree(tree), std::move(payload));
+  const core::FcmConfig& config = tree.config();
+  WireWriter out = begin_frame(
+      WireType::kFcmTree, fingerprint_tree(tree),
+      config_bytes(config) + 4 + tree_state_bytes(config));
+  encode_config(out, config);
+  out.u32(tree.hash().seed());
+  encode_tree_state(out, tree);
+  return out.take();
 }
 
 core::FcmTree WireCodec::deserialize_tree(std::span<const std::byte> buffer) {
@@ -275,10 +341,19 @@ core::FcmTree WireCodec::deserialize_tree(std::span<const std::byte> buffer) {
   FCM_REQUIRE(in.remaining() == 0, "wire: trailing bytes after FcmTree state");
   FCM_REQUIRE(fingerprint_tree(tree) == fingerprint,
               "wire: FcmTree config fingerprint mismatch");
+  tree.check_invariants();
   return tree;
 }
 
 // --- FcmSketch --------------------------------------------------------------
+
+std::size_t WireCodec::sketch_body_bytes(const core::FcmSketch& s) {
+  return config_bytes(s.config_) +
+         s.trees_.size() * (4 + tree_state_bytes(s.config_)) +
+         1 + (s.hh_threshold_.has_value() ? 8 : 0) +  // threshold
+         8 + 4 * s.heavy_hitters_.size() +              // heavy hitters
+         8;                                             // saturations
+}
 
 void WireCodec::encode_sketch_body(WireWriter& out, const core::FcmSketch& s) {
   encode_config(out, s.config_);
@@ -295,7 +370,7 @@ void WireCodec::encode_sketch_body(WireWriter& out, const core::FcmSketch& s) {
   for (const flow::FlowKey key : s.heavy_hitters_) hh.push_back(key.value);
   std::sort(hh.begin(), hh.end());
   out.u64(hh.size());
-  for (const std::uint32_t key : hh) out.u32(key);
+  out.uints(hh, 4);
   out.u64(s.cardinality_saturations_);
 }
 
@@ -307,6 +382,11 @@ core::FcmSketch WireCodec::decode_sketch_body(WireReader& in) {
       config.tree_count,
       4 + tree_state_bytes(config));  // per tree: hash seed + state
   core::FcmSketch sketch(config);
+  decode_sketch_state(in, sketch);
+  return sketch;
+}
+
+void WireCodec::decode_sketch_state(WireReader& in, core::FcmSketch& sketch) {
   for (core::FcmTree& tree : sketch.trees_) {
     const std::uint32_t seed = in.u32();
     FCM_REQUIRE(seed == tree.hash().seed(),
@@ -316,6 +396,7 @@ core::FcmSketch WireCodec::decode_sketch_body(WireReader& in) {
   }
   const std::uint8_t has_threshold = in.u8();
   FCM_REQUIRE(has_threshold <= 1, "wire: boolean field out of range");
+  sketch.hh_threshold_.reset();
   if (has_threshold == 1) {
     const std::uint64_t threshold = in.u64();
     FCM_REQUIRE(threshold > 0, "wire: zero heavy-hitter threshold recorded");
@@ -325,6 +406,7 @@ core::FcmSketch WireCodec::decode_sketch_body(WireReader& in) {
   in.require_payload(hh_count, 4);
   FCM_REQUIRE(hh_count == 0 || has_threshold == 1,
               "wire: heavy hitters recorded without a threshold");
+  sketch.heavy_hitters_.clear();
   sketch.heavy_hitters_.reserve(hh_count);
   for (std::uint64_t i = 0; i < hh_count; ++i) {
     sketch.heavy_hitters_.insert(flow::FlowKey{in.u32()});
@@ -332,20 +414,19 @@ core::FcmSketch WireCodec::decode_sketch_body(WireReader& in) {
   FCM_REQUIRE(sketch.heavy_hitters_.size() == hh_count,
               "wire: duplicate heavy-hitter keys in buffer");
   sketch.cardinality_saturations_ = in.u64();
-  sketch.check_invariants();
-  return sketch;
 }
 
 std::vector<std::byte> WireCodec::serialize(const core::FcmSketch& sketch) {
-  WireWriter payload;
-  encode_sketch_body(payload, sketch);
   WireWriter fp;
   fp.u8(static_cast<std::uint8_t>(WireType::kFcmSketch));
   encode_config(fp, sketch.config());
   fp.u8(sketch.hh_threshold_.has_value() ? 1 : 0);
   fp.u64(sketch.hh_threshold_.value_or(0));
-  return frame(WireType::kFcmSketch, fingerprint_bytes(fp.bytes()),
-               std::move(payload));
+  WireWriter out = begin_frame(WireType::kFcmSketch,
+                               fingerprint_bytes(fp.bytes()),
+                               sketch_body_bytes(sketch));
+  encode_sketch_body(out, sketch);
+  return out.take();
 }
 
 core::FcmSketch WireCodec::deserialize_sketch(
@@ -362,6 +443,7 @@ core::FcmSketch WireCodec::deserialize_sketch(
   fp.u64(sketch.hh_threshold_.value_or(0));
   FCM_REQUIRE(fingerprint_bytes(fp.bytes()) == fingerprint,
               "wire: FcmSketch config fingerprint mismatch");
+  sketch.check_invariants();
   return sketch;
 }
 
@@ -372,9 +454,7 @@ void WireCodec::encode_cm_body(WireWriter& out, const sketch::CmSketch& cm) {
   out.u64(cm.width());
   for (const common::SeededHash& hash : cm.hashes_) out.u32(hash.seed());
   out.u64(cm.saturations_);
-  for (const std::vector<std::uint32_t>& row : cm.rows_) {
-    for (const std::uint32_t counter : row) out.u32(counter);
-  }
+  for (const std::vector<std::uint32_t>& row : cm.rows_) out.uints(row, 4);
 }
 
 void WireCodec::decode_cm_body(WireReader& in, sketch::CmSketch& cm) {
@@ -385,8 +465,7 @@ void WireCodec::decode_cm_body(WireReader& in, sketch::CmSketch& cm) {
   }
   cm.saturations_ = in.u64();
   for (std::vector<std::uint32_t>& row : cm.rows_) {
-    in.require_payload(row.size(), 4);
-    for (std::uint32_t& counter : row) counter = in.u32();
+    static_cast<void>(in.uints(row, 4));  // every u32 is a valid counter
   }
   cm.check_invariants();
 }
@@ -394,9 +473,12 @@ void WireCodec::decode_cm_body(WireReader& in, sketch::CmSketch& cm) {
 std::vector<std::byte> WireCodec::serialize(const sketch::CmSketch& cm) {
   const WireType type =
       cm.name() == "CU" ? WireType::kCuSketch : WireType::kCmSketch;
-  WireWriter payload;
-  encode_cm_body(payload, cm);
-  return frame(type, fingerprint_cm(cm), std::move(payload));
+  const std::size_t depth = cm.depth();
+  WireWriter out = begin_frame(
+      type, fingerprint_cm(cm),
+      4 + 8 + 4 * depth + 8 + 4 * depth * cm.width());
+  encode_cm_body(out, cm);
+  return out.take();
 }
 
 namespace {
@@ -450,6 +532,10 @@ sketch::CuSketch WireCodec::deserialize_cu(std::span<const std::byte> buffer) {
 
 // --- TopKFilter -------------------------------------------------------------
 
+std::size_t WireCodec::filter_body_bytes(const sketch::TopKFilter& filter) {
+  return 4 + 4 + 8 + 13 * filter.table_.size();
+}
+
 void WireCodec::encode_filter_body(WireWriter& out,
                                    const sketch::TopKFilter& filter) {
   out.u32(filter.hash_.seed());
@@ -480,17 +566,15 @@ sketch::TopKFilter WireCodec::decode_filter_body(WireReader& in) {
     FCM_REQUIRE(flags <= 1, "wire: Top-K entry flags out of range");
     entry.has_light_part = flags == 1;
   }
-  // The vote-table ordering invariants (empty buckets carry nothing,
-  // residents dominate challengers) catch bit flips the field checks miss.
-  filter.check_invariants();
   return filter;
 }
 
 std::vector<std::byte> WireCodec::serialize(const sketch::TopKFilter& filter) {
-  WireWriter payload;
-  encode_filter_body(payload, filter);
-  return frame(WireType::kTopKFilter, fingerprint_filter(filter),
-               std::move(payload));
+  WireWriter out = begin_frame(WireType::kTopKFilter,
+                               fingerprint_filter(filter),
+                               filter_body_bytes(filter));
+  encode_filter_body(out, filter);
+  return out.take();
 }
 
 sketch::TopKFilter WireCodec::deserialize_topk_filter(
@@ -502,17 +586,21 @@ sketch::TopKFilter WireCodec::deserialize_topk_filter(
               "wire: trailing bytes after Top-K filter state");
   FCM_REQUIRE(fingerprint_filter(filter) == fingerprint,
               "wire: Top-K filter config fingerprint mismatch");
+  // The vote-table ordering invariants (empty buckets carry nothing,
+  // residents dominate challengers) catch bit flips the field checks miss.
+  filter.check_invariants();
   return filter;
 }
 
 // --- FcmTopK ----------------------------------------------------------------
 
 std::vector<std::byte> WireCodec::serialize(const core::FcmTopK& topk) {
-  WireWriter payload;
-  encode_sketch_body(payload, topk.sketch_);
-  encode_filter_body(payload, topk.filter_);
-  return frame(WireType::kFcmTopK, fingerprint_fcm_topk(topk),
-               std::move(payload));
+  WireWriter out = begin_frame(
+      WireType::kFcmTopK, fingerprint_fcm_topk(topk),
+      sketch_body_bytes(topk.sketch_) + filter_body_bytes(topk.filter_));
+  encode_sketch_body(out, topk.sketch_);
+  encode_filter_body(out, topk.filter_);
+  return out.take();
 }
 
 core::FcmTopK WireCodec::deserialize_fcm_topk(
@@ -531,29 +619,31 @@ core::FcmTopK WireCodec::deserialize_fcm_topk(
   topk.filter_ = std::move(filter);
   FCM_REQUIRE(fingerprint_fcm_topk(topk) == fingerprint,
               "wire: FcmTopK config fingerprint mismatch");
+  topk.check_invariants();
   return topk;
 }
 
 // --- cardinality registers --------------------------------------------------
 
 std::vector<std::byte> WireCodec::serialize(const sketch::LinearCounting& lc) {
-  WireWriter payload;
-  payload.u32(lc.hash_.seed());
-  payload.u64(lc.bitmap_.size());
-  std::uint8_t packed = 0;
-  for (std::size_t i = 0; i < lc.bitmap_.size(); ++i) {
-    if (lc.bitmap_[i]) packed |= static_cast<std::uint8_t>(1u << (i % 8));
-    if (i % 8 == 7 || i + 1 == lc.bitmap_.size()) {
-      payload.u8(packed);
-      packed = 0;
-    }
-  }
   WireWriter fp;
   fp.u8(static_cast<std::uint8_t>(WireType::kLinearCounting));
   fp.u32(lc.hash_.seed());
   fp.u64(lc.bitmap_.size());
-  return frame(WireType::kLinearCounting, fingerprint_bytes(fp.bytes()),
-               std::move(payload));
+  WireWriter out = begin_frame(WireType::kLinearCounting,
+                               fingerprint_bytes(fp.bytes()),
+                               4 + 8 + (lc.bitmap_.size() + 7) / 8);
+  out.u32(lc.hash_.seed());
+  out.u64(lc.bitmap_.size());
+  std::uint8_t packed = 0;
+  for (std::size_t i = 0; i < lc.bitmap_.size(); ++i) {
+    if (lc.bitmap_[i]) packed |= static_cast<std::uint8_t>(1u << (i % 8));
+    if (i % 8 == 7 || i + 1 == lc.bitmap_.size()) {
+      out.u8(packed);
+      packed = 0;
+    }
+  }
+  return out.take();
 }
 
 sketch::LinearCounting WireCodec::deserialize_linear_counting(
@@ -591,16 +681,17 @@ sketch::LinearCounting WireCodec::deserialize_linear_counting(
 }
 
 std::vector<std::byte> WireCodec::serialize(const sketch::HyperLogLog& hll) {
-  WireWriter payload;
-  payload.u32(hll.hash_.seed());
-  payload.u8(static_cast<std::uint8_t>(hll.index_bits_));
-  for (const std::uint8_t reg : hll.registers_) payload.u8(reg);
   WireWriter fp;
   fp.u8(static_cast<std::uint8_t>(WireType::kHyperLogLog));
   fp.u32(hll.hash_.seed());
   fp.u8(static_cast<std::uint8_t>(hll.index_bits_));
-  return frame(WireType::kHyperLogLog, fingerprint_bytes(fp.bytes()),
-               std::move(payload));
+  WireWriter out = begin_frame(WireType::kHyperLogLog,
+                               fingerprint_bytes(fp.bytes()),
+                               4 + 1 + hll.registers_.size());
+  out.u32(hll.hash_.seed());
+  out.u8(static_cast<std::uint8_t>(hll.index_bits_));
+  for (const std::uint8_t reg : hll.registers_) out.u8(reg);
+  return out.take();
 }
 
 sketch::HyperLogLog WireCodec::deserialize_hll(
@@ -633,6 +724,17 @@ sketch::HyperLogLog WireCodec::deserialize_hll(
 
 // --- FcmFramework -----------------------------------------------------------
 
+namespace {
+
+// Framework payload fields ahead of the data-plane body: Top-K flag,
+// config, topk_entries, heavy-hitter threshold, count mode, and the EM
+// policy (four u64 + one u32).
+std::size_t framework_head_bytes(const core::FcmConfig& config) {
+  return 1 + config_bytes(config) + 8 + 8 + 1 + 4 * 8 + 4;
+}
+
+}  // namespace
+
 std::vector<std::byte> WireCodec::serialize(const framework::FcmFramework& fw) {
   const framework::FcmFramework::Options& options = fw.options_;
   // The single-pass sweep sidecars (DESIGN.md §14) are a local ingest
@@ -640,27 +742,33 @@ std::vector<std::byte> WireCodec::serialize(const framework::FcmFramework& fw) {
   // them would make a round-trip lossy, so refuse outright.
   FCM_REQUIRE(!options.single_pass_sweep,
               "wire: sweep-enabled frameworks are not wire-transportable");
-  WireWriter payload;
-  payload.u8(fw.with_topk_.has_value() ? 1 : 0);
-  encode_config(payload, options.fcm);
-  payload.u64(options.topk_entries);
-  payload.u64(options.heavy_hitter_threshold);
-  payload.u8(static_cast<std::uint8_t>(options.count_mode));
+  const std::size_t body_bytes =
+      fw.with_topk_.has_value()
+          ? sketch_body_bytes(fw.with_topk_->sketch_) +
+                filter_body_bytes(fw.with_topk_->filter_)
+          : sketch_body_bytes(*fw.plain_);
+  WireWriter out =
+      begin_frame(WireType::kFcmFramework, merge_fingerprint(options),
+                  framework_head_bytes(options.fcm) + body_bytes);
+  out.u8(fw.with_topk_.has_value() ? 1 : 0);
+  encode_config(out, options.fcm);
+  out.u64(options.topk_entries);
+  out.u64(options.heavy_hitter_threshold);
+  out.u8(static_cast<std::uint8_t>(options.count_mode));
   // Analysis policy rides along so a control plane restored from the wire
   // produces the same reports; it is NOT part of the merge fingerprint.
-  payload.u64(options.em.max_iterations);
-  payload.u64(options.em.value_enumeration_cap);
-  payload.u64(options.em.max_extra_flows);
-  payload.u32(options.em.max_enumeration_degree);
-  payload.u64(options.em.thread_count);
+  out.u64(options.em.max_iterations);
+  out.u64(options.em.value_enumeration_cap);
+  out.u64(options.em.max_extra_flows);
+  out.u32(options.em.max_enumeration_degree);
+  out.u64(options.em.thread_count);
   if (fw.with_topk_.has_value()) {
-    encode_sketch_body(payload, fw.with_topk_->sketch_);
-    encode_filter_body(payload, fw.with_topk_->filter_);
+    encode_sketch_body(out, fw.with_topk_->sketch_);
+    encode_filter_body(out, fw.with_topk_->filter_);
   } else {
-    encode_sketch_body(payload, *fw.plain_);
+    encode_sketch_body(out, *fw.plain_);
   }
-  return frame(WireType::kFcmFramework, merge_fingerprint(options),
-               std::move(payload));
+  return out.take();
 }
 
 framework::FcmFramework WireCodec::deserialize_framework(
@@ -686,30 +794,29 @@ framework::FcmFramework WireCodec::deserialize_framework(
   options.metrics = metrics;
   FCM_REQUIRE((has_topk == 1) == (options.topk_entries > 0),
               "wire: Top-K presence flag contradicts the entry count");
+  // The trees the constructor below allocates must already be present.
+  in.require_payload(options.fcm.tree_count,
+                     4 + tree_state_bytes(options.fcm));
 
   // The constructor re-runs all Options cross-field validation (e.g. byte
-  // counting excludes the Top-K plane) before any state is restored.
+  // counting excludes the Top-K plane) before any state is restored. The
+  // body then decodes straight into the sketch it built.
   framework::FcmFramework fw(options);
+  core::FcmSketch& sketch =
+      has_topk == 1 ? fw.with_topk_->sketch_ : *fw.plain_;
+  FCM_REQUIRE(decode_config(in) == options.fcm,
+              "wire: framework body config contradicts its options");
+  decode_sketch_state(in, sketch);
   if (has_topk == 1) {
-    core::FcmSketch sketch = decode_sketch_body(in);
     sketch::TopKFilter filter = decode_filter_body(in);
-    FCM_REQUIRE(sketch.config() == options.fcm,
-                "wire: framework body config contradicts its options");
     FCM_REQUIRE(filter.entry_count() == options.topk_entries,
                 "wire: framework filter geometry contradicts its options");
-    fw.with_topk_->sketch_ = std::move(sketch);
     fw.with_topk_->filter_ = std::move(filter);
-  } else {
-    core::FcmSketch sketch = decode_sketch_body(in);
-    FCM_REQUIRE(sketch.config() == options.fcm,
-                "wire: framework body config contradicts its options");
-    *fw.plain_ = std::move(sketch);
   }
   FCM_REQUIRE(in.remaining() == 0,
               "wire: trailing bytes after FcmFramework state");
-  const core::FcmSketch& restored = fw.sketch();
   FCM_REQUIRE(
-      (restored.hh_threshold_.has_value() ? *restored.hh_threshold_ : 0) ==
+      (sketch.hh_threshold_.has_value() ? *sketch.hh_threshold_ : 0) ==
           options.heavy_hitter_threshold,
       "wire: restored heavy-hitter threshold contradicts the options");
   FCM_REQUIRE(merge_fingerprint(options) == fingerprint,

@@ -10,9 +10,10 @@
 // replicas is bit-exact with merge() on the in-memory ones
 // (tests/test_wire.cpp pins both properties).
 //
-// Frame layout (all integers little-endian, fixed width, byte-at-a-time —
-// no struct dumps, no reinterpret_cast; tools/fcm_lint.py's wire-encoding
-// rule bans both in src/agg):
+// Frame layout (all integers little-endian, fixed width, split into bytes
+// by explicit shifts — no struct dumps, no reinterpret_cast;
+// tools/fcm_lint.py's wire-encoding rule bans both in src/agg). Each frame
+// is written into one buffer of its exact, precomputed size:
 //
 //   offset size  field
 //   0      4     magic "FCMW"
@@ -36,14 +37,17 @@
 // counts, out-of-range node values, and fingerprint mismatches all raise
 // fcm::common::ContractViolation; declared element counts are checked
 // against the bytes actually present, so a flipped count byte cannot cause
-// allocation amplification (tests/test_wire.cpp, hostile suite). A final
-// check_invariants() sweep on the rebuilt object catches bit flips that
-// survive the field-level checks.
+// allocation amplification (tests/test_wire.cpp, hostile suite). Each
+// counter value is range-checked while it is decoded; one final
+// check_invariants() sweep per top-level deserialize_* call catches bit
+// flips that survive the field-level checks (e.g. an overflow marker whose
+// parent holds no count).
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "common/contracts.h"
@@ -72,30 +76,76 @@ enum class WireType : std::uint8_t {
   kFcmFramework = 9,
 };
 
-// Append-only little-endian encoder. Integers are emitted byte by byte so
-// the layout is identical on every host.
+namespace detail {
+
+// Little-endian split / rebuild of an unsigned integer into sizeof...(B)
+// bytes, one explicit shift per byte. Written as a fold, so every use is a
+// fixed-width access with no per-byte loop; the counter-array loops in
+// wire.cpp share it with the scalar reads and writes below.
+template <typename T, std::size_t... B>
+void store_le(std::span<std::byte> out, T v,
+              std::index_sequence<B...>) noexcept {
+  ((out[B] = static_cast<std::byte>((v >> (8 * B)) & 0xff)), ...);
+}
+
+template <typename T, std::size_t... B>
+T load_le(std::span<const std::byte> in, std::index_sequence<B...>) noexcept {
+  return static_cast<T>(((std::to_integer<T>(in[B]) << (8 * B)) | ...));
+}
+
+}  // namespace detail
+
+// Little-endian encoder. Every integer is written through explicit shifts,
+// one byte at a time, so the layout is identical on every host. A writer
+// built with an exact size holds a whole frame in one allocation and
+// asserts that the frame fills it exactly (see WireCodec::begin_frame); a
+// default-built writer grows as it goes (fingerprint keys, a few dozen
+// bytes).
 class WireWriter {
  public:
-  void u8(std::uint8_t v) { buf_.push_back(static_cast<std::byte>(v)); }
-  void u16(std::uint16_t v) {
-    u8(static_cast<std::uint8_t>(v & 0xff));
-    u8(static_cast<std::uint8_t>(v >> 8));
-  }
-  void u32(std::uint32_t v) {
-    u16(static_cast<std::uint16_t>(v & 0xffff));
-    u16(static_cast<std::uint16_t>(v >> 16));
-  }
-  void u64(std::uint64_t v) {
-    u32(static_cast<std::uint32_t>(v & 0xffffffffu));
-    u32(static_cast<std::uint32_t>(v >> 32));
-  }
+  WireWriter() = default;
+  explicit WireWriter(std::size_t exact_bytes)
+      : buf_(exact_bytes), exact_(true) {}
 
-  std::size_t size() const noexcept { return buf_.size(); }
-  std::span<const std::byte> bytes() const noexcept { return buf_; }
-  std::vector<std::byte> take() { return std::move(buf_); }
+  void u8(std::uint8_t v) { put(v); }
+  void u16(std::uint16_t v) { put(v); }
+  void u32(std::uint32_t v) { put(v); }
+  void u64(std::uint64_t v) { put(v); }
+
+  // Bulk form for counter arrays: each value as a `width`-byte (1, 2 or 4)
+  // little-endian integer. The caller guarantees every value fits.
+  void uints(std::span<const std::uint32_t> values, std::size_t width);
+
+  std::span<const std::byte> bytes() const noexcept {
+    return std::span<const std::byte>(buf_).first(pos_);
+  }
+  std::vector<std::byte> take() {
+    FCM_ASSERT(!exact_ || pos_ == buf_.size(),
+               "WireWriter: frame is shorter than its computed size");
+    buf_.resize(pos_);
+    return std::move(buf_);
+  }
 
  private:
+  template <typename T>
+  void put(T v) {
+    detail::store_le(claim(sizeof(T)), v,
+                     std::make_index_sequence<sizeof(T)>{});
+  }
+  std::span<std::byte> claim(std::size_t n) {
+    if (buf_.size() - pos_ < n) {
+      FCM_ASSERT(!exact_, "WireWriter: frame overruns its computed size");
+      buf_.resize(pos_ + n);
+    }
+    const std::span<std::byte> out =
+        std::span<std::byte>(buf_).subspan(pos_, n);
+    pos_ += n;
+    return out;
+  }
+
   std::vector<std::byte> buf_;
+  std::size_t pos_ = 0;
+  bool exact_ = false;
 };
 
 // Bounds-checked little-endian decoder over a borrowed buffer. Every read
@@ -118,29 +168,38 @@ class WireReader {
   }
 
   std::uint8_t u8() {
-    FCM_REQUIRE(remaining() >= 1, "wire: truncated buffer (u8)");
-    return static_cast<std::uint8_t>(data_[pos_++]);
+    return get<std::uint8_t>("wire: truncated buffer (u8)");
   }
   std::uint16_t u16() {
-    FCM_REQUIRE(remaining() >= 2, "wire: truncated buffer (u16)");
-    const auto lo = static_cast<std::uint16_t>(u8());
-    const auto hi = static_cast<std::uint16_t>(u8());
-    return static_cast<std::uint16_t>(lo | (hi << 8));
+    return get<std::uint16_t>("wire: truncated buffer (u16)");
   }
   std::uint32_t u32() {
-    FCM_REQUIRE(remaining() >= 4, "wire: truncated buffer (u32)");
-    const auto lo = static_cast<std::uint32_t>(u16());
-    const auto hi = static_cast<std::uint32_t>(u16());
-    return lo | (hi << 16);
+    return get<std::uint32_t>("wire: truncated buffer (u32)");
   }
   std::uint64_t u64() {
-    FCM_REQUIRE(remaining() >= 8, "wire: truncated buffer (u64)");
-    const auto lo = static_cast<std::uint64_t>(u32());
-    const auto hi = static_cast<std::uint64_t>(u32());
-    return lo | (hi << 32);
+    return get<std::uint64_t>("wire: truncated buffer (u64)");
   }
 
+  // Bulk form for counter arrays: fills `out` with `width`-byte (1, 2 or 4)
+  // little-endian values and returns their bitwise OR. Against an all-ones
+  // bound 2^b - 1 (a stage's overflow marker) the OR is <= the bound iff
+  // every value is, so the caller range-checks the whole array with one
+  // comparison.
+  std::uint32_t uints(std::span<std::uint32_t> out, std::size_t width);
+
  private:
+  template <typename T>
+  T get(const char* truncated) {
+    return detail::load_le<T>(take(sizeof(T), truncated),
+                              std::make_index_sequence<sizeof(T)>{});
+  }
+  std::span<const std::byte> take(std::size_t n, const char* truncated) {
+    FCM_REQUIRE(remaining() >= n, truncated);
+    const std::span<const std::byte> in = data_.subspan(pos_, n);
+    pos_ += n;
+    return in;
+  }
+
   std::span<const std::byte> data_;
   std::size_t pos_ = 0;
 };
@@ -199,32 +258,47 @@ class WireCodec {
   static std::uint64_t merge_fingerprint(
       const framework::FcmFramework::Options& options);
 
+  // The 64-bit digest every fingerprint above is built from, exposed so
+  // tests can pin whole serialized frames (tests/test_wire.cpp, golden
+  // bytes) without storing them.
+  static std::uint64_t fingerprint_bytes(std::span<const std::byte> bytes);
+
  private:
   // Shared body encoders/decoders (nested payloads reuse them: FcmTopK is a
   // sketch body followed by a filter body, FcmFramework wraps either).
   static void encode_config(WireWriter& out, const core::FcmConfig& config);
   static core::FcmConfig decode_config(WireReader& in);
   static void encode_tree_state(WireWriter& out, const core::FcmTree& tree);
+  // Range-checks every node value as it is decoded; the structural sweep
+  // (check_invariants) is left to the top-level deserialize_* so it runs
+  // once per decode (DESIGN.md §11.2).
   static void decode_tree_state(WireReader& in, core::FcmTree& tree);
+  static std::size_t sketch_body_bytes(const core::FcmSketch& s);
   static void encode_sketch_body(WireWriter& out, const core::FcmSketch& s);
+  // A sketch body is its config followed by its state. decode_sketch_body
+  // builds a new sketch from the config; decode_sketch_state decodes the
+  // state that follows the config straight into `sketch`, which must have
+  // been built from that config (the framework decodes into its own).
   static core::FcmSketch decode_sketch_body(WireReader& in);
+  static void decode_sketch_state(WireReader& in, core::FcmSketch& sketch);
   static void encode_cm_body(WireWriter& out, const sketch::CmSketch& cm);
   static void decode_cm_body(WireReader& in, sketch::CmSketch& cm);
+  static std::size_t filter_body_bytes(const sketch::TopKFilter& filter);
   static void encode_filter_body(WireWriter& out,
                                  const sketch::TopKFilter& filter);
   static sketch::TopKFilter decode_filter_body(WireReader& in);
 
   // Per-type merge-compatibility fingerprints (see WireHeader::fingerprint).
-  static std::uint64_t fingerprint_bytes(std::span<const std::byte> bytes);
   static std::uint64_t fingerprint_config(const core::FcmConfig& config);
   static std::uint64_t fingerprint_tree(const core::FcmTree& tree);
   static std::uint64_t fingerprint_cm(const sketch::CmSketch& cm);
   static std::uint64_t fingerprint_filter(const sketch::TopKFilter& filter);
   static std::uint64_t fingerprint_fcm_topk(const core::FcmTopK& topk);
 
-  // Frame assembly/validation around a finished payload.
-  static std::vector<std::byte> frame(WireType type, std::uint64_t fingerprint,
-                                      WireWriter&& payload);
+  // A writer sized for exactly one frame of `payload_bytes`, with the
+  // header already written; the serializer appends the payload and take()s.
+  static WireWriter begin_frame(WireType type, std::uint64_t fingerprint,
+                                std::size_t payload_bytes);
   static WireReader open(std::span<const std::byte> buffer, WireType expected,
                          std::uint64_t* fingerprint_out);
 };

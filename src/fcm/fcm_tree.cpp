@@ -246,51 +246,152 @@ std::uint64_t FcmTree::query_at(std::size_t index) const noexcept {
   return estimate;
 }
 
-void FcmTree::merge(const FcmTree& other) {
-  FCM_REQUIRE(config_ == other.config_,
-              "FcmTree::merge: mismatched configs (geometry or seed differ)");
-  FCM_REQUIRE(hash_.seed() == other.hash_.seed(),
-              "FcmTree::merge: trees use different leaf hash functions");
-  const std::size_t levels = stages_.size();
-  // Counts promoted from merged children into the current level. Index j at
-  // level l receives the excess of its k children at level l-1.
-  std::vector<std::uint64_t> promoted(stages_[0].size(), 0);
-  std::vector<std::uint64_t> next_promoted;
-  // Fold the other tree's promotion history into ours (monotone telemetry;
-  // merge-induced fresh trips are counted in the loop below).
-  promotions_ += other.promotions_;
-  for (std::size_t l = 0; l < levels; ++l) {
-    const std::uint64_t cap = counting_max_[l];
-    const std::uint32_t mark = marker_[l];
-    next_promoted.assign(l + 1 < levels ? stages_[l + 1].size() : 0, 0);
-    for (std::size_t i = 0; i < stages_[l].size(); ++i) {
-      const std::uint32_t va = stages_[l][i];
-      const std::uint32_t vb = other.stages_[l][i];
-      const bool shard_overflowed = (va == mark) || (vb == mark);
+namespace {
+
+// Lanes the merge's fast path and the invariant sweep check at once: a run.
+// When k divides it a run holds whole parent blocks; a fixed count lets the
+// compiler vectorize the check.
+constexpr std::size_t kRunLanes = 64;
+
+// The exact per-node merge rule (see FcmTree::merge) over the parent blocks
+// of k siblings in [begin, end). `in` holds the excess the level below
+// promoted into each node (none at level 1: kPromoted == false); `out`
+// accumulates each block's excess at its parent (nullptr at the root, where
+// the serial tree drops it too). Returns the nodes that trip into overflow
+// only here, in the merge.
+template <bool kPromoted>
+std::uint64_t merge_exact(std::span<std::uint32_t> a,
+                          std::span<const std::uint32_t> b,
+                          const std::uint64_t* in, std::uint64_t* out,
+                          std::size_t k, std::uint32_t cap, std::size_t begin,
+                          std::size_t end) {
+  const std::uint32_t mark = cap + 1;
+  std::uint64_t fresh = 0;
+  for (std::size_t base = begin; base < end; base += k) {
+    // Below the root every level is exactly k * (parent count) wide; the
+    // root's width need not be a multiple of k.
+    const std::size_t stop = std::min(base + k, end);
+    std::uint64_t excess = 0;
+    for (std::size_t i = base; i < stop; ++i) {
+      const bool shard_overflowed = (a[i] == mark) || (b[i] == mark);
       // Local arrivals visible at this level: what each shard counted here
       // (capped; their excess is in their next level) plus what the merged
       // children promoted.
-      const std::uint64_t sum = promoted[i] +
-                                std::min<std::uint64_t>(va, cap) +
-                                std::min<std::uint64_t>(vb, cap);
+      std::uint64_t sum = std::min<std::uint64_t>(a[i], cap) +
+                          std::min<std::uint64_t>(b[i], cap);
+      if constexpr (kPromoted) sum += in[i];
       // A shard overflow implies its capped value == cap, hence sum >= cap;
       // the serial tree overflowed here iff a shard did or the sum alone
       // exceeds the counting range.
       if (shard_overflowed || sum > cap) {
         FCM_ASSERT(sum >= cap,
                    "FcmTree::merge: overflowed node with sum below capacity");
-        if (l + 1 < levels) next_promoted[i / config_.k] += sum - cap;
-        // Beyond the root the serial tree drops the excess too.
-        stages_[l][i] = mark;
+        excess += sum - cap;
+        a[i] = mark;
         // Observability: a node neither input had tripped overflows only
         // now, in the merge — count the fresh promotion (trips either input
-        // already performed arrive via the promotions_ sum below).
-        if (!shard_overflowed) ++promotions_;
+        // already performed arrive via the promotions_ sum).
+        if (!shard_overflowed) ++fresh;
       } else {
-        stages_[l][i] = common::checked_narrow<std::uint32_t>(sum);
+        a[i] = common::checked_narrow<std::uint32_t>(sum);
       }
     }
-    promoted.swap(next_promoted);
+    if (out != nullptr) out[base / k] += excess;
+  }
+  return fresh;
+}
+
+// The fast path over lanes [base, base + kRunLanes): when every lane
+// satisfies in + a + b <= cap, no node can overflow or promote, so the
+// lanes are summed with no branch and true is returned; otherwise nothing
+// is written. The lanes are copied to locals first: they cannot alias `a`,
+// so the check and the sum vectorize without run-time overlap tests.
+template <bool kPromoted>
+bool add_if_clean(std::span<std::uint32_t> a, std::span<const std::uint32_t> b,
+                  const std::uint64_t* in, std::size_t base,
+                  std::uint32_t cap) noexcept {
+  std::uint32_t la[kRunLanes];
+  std::uint32_t lb[kRunLanes];
+  for (std::size_t j = 0; j < kRunLanes; ++j) {
+    la[j] = a[base + j];
+    lb[j] = b[base + j];
+  }
+  // b <= cap keeps cap - b from wrapping, so each test is exact in 32 bits;
+  // an overflow marker in either operand fails it.
+  std::uint32_t dirty = 0;
+  for (std::size_t j = 0; j < kRunLanes; ++j) {
+    dirty |= (lb[j] > cap) | (la[j] > cap - lb[j]);
+  }
+  if (dirty != 0) return false;
+  if constexpr (kPromoted) {
+    // Most runs receive no promotions; those that do are checked and summed
+    // lane by lane in 64 bits.
+    std::uint64_t any_in = 0;
+    for (std::size_t j = 0; j < kRunLanes; ++j) any_in |= in[base + j];
+    if (any_in != 0) {
+      for (std::size_t j = 0; j < kRunLanes; ++j) {
+        if (in[base + j] > cap - lb[j] - la[j]) return false;
+      }
+      for (std::size_t j = 0; j < kRunLanes; ++j) {
+        a[base + j] = common::checked_narrow<std::uint32_t>(in[base + j] +
+                                                            la[j] + lb[j]);
+      }
+      return true;
+    }
+  }
+  for (std::size_t j = 0; j < kRunLanes; ++j) a[base + j] = la[j] + lb[j];
+  return true;
+}
+
+// One level of FcmTree::merge. When k divides kRunLanes the level is
+// walked in runs of kRunLanes / k whole parent blocks: a clean run takes
+// the fast path, any other run the exact rule block by block. The tail
+// (and every block when k does not divide kRunLanes) takes the exact rule.
+template <bool kPromoted>
+std::uint64_t merge_level(std::span<std::uint32_t> a,
+                          std::span<const std::uint32_t> b,
+                          const std::uint64_t* in, std::uint64_t* out,
+                          std::size_t k, std::uint32_t cap) {
+  const std::size_t fast_end =
+      kRunLanes % k == 0 ? a.size() - a.size() % kRunLanes : 0;
+  std::uint64_t fresh = 0;
+  for (std::size_t base = 0; base < fast_end; base += kRunLanes) {
+    if (!add_if_clean<kPromoted>(a, b, in, base, cap)) {
+      fresh += merge_exact<kPromoted>(a, b, in, out, k, cap, base,
+                                      base + kRunLanes);
+    }
+  }
+  return fresh +
+         merge_exact<kPromoted>(a, b, in, out, k, cap, fast_end, a.size());
+}
+
+}  // namespace
+
+void FcmTree::merge(const FcmTree& other) {
+  FCM_REQUIRE(config_ == other.config_,
+              "FcmTree::merge: mismatched configs (geometry or seed differ)");
+  FCM_REQUIRE(hash_.seed() == other.hash_.seed(),
+              "FcmTree::merge: trees use different leaf hash functions");
+  const std::size_t levels = stages_.size();
+  // Excess promoted into the current level (`promoted`, empty at level 1)
+  // and into the next one (`next`): each holds one slot per node of a
+  // non-leaf level, so no buffer is ever leaf-sized.
+  std::vector<std::uint64_t> promoted;
+  std::vector<std::uint64_t> next;
+  // Fold the other tree's promotion history into ours (monotone telemetry;
+  // merge-induced fresh trips are counted per level below).
+  promotions_ += other.promotions_;
+  for (std::size_t l = 0; l < levels; ++l) {
+    const bool has_parent = l + 1 < levels;
+    next.assign(has_parent ? stages_[l + 1].size() : 0, 0);
+    std::uint64_t* const out = has_parent ? next.data() : nullptr;
+    promotions_ +=
+        l == 0 ? merge_level<false>(stages_[l], other.stages_[l], nullptr,
+                                    out, config_.k, counting_max_[l])
+               : merge_level<true>(stages_[l], other.stages_[l],
+                                   promoted.data(), out, config_.k,
+                                   counting_max_[l]);
+    promoted.swap(next);
   }
   FCM_CHECKED_ONLY(check_invariants());
 }
@@ -321,6 +422,72 @@ std::uint64_t FcmTree::total_count() const noexcept {
   return total;
 }
 
+namespace {
+
+// check_invariants' per-block test of parent blocks [first, last) of one
+// level, whose children sit at 1-based stage `stage`: every child fits its
+// bit width (stores at most the marker), and each parent holds a count iff
+// one of its k children is at the marker (Figure 3: the tripping increment
+// always lands in the parent, and a non-leaf node only receives counts via
+// child overflow).
+void assert_blocks(std::span<const std::uint32_t> children,
+                   std::span<const std::uint32_t> parents, std::size_t k,
+                   std::uint32_t mark, std::size_t stage, std::size_t first,
+                   std::size_t last) {
+  for (std::size_t p = first; p < last; ++p) {
+    bool overflowed_child = false;
+    std::uint32_t widest = 0;
+    for (std::size_t c = p * k; c < (p + 1) * k; ++c) {
+      overflowed_child |= children[c] == mark;
+      widest = std::max(widest, children[c]);
+    }
+    FCM_ASSERT(widest <= mark,
+               "FcmTree: node value exceeds its bit width at stage " +
+                   std::to_string(stage) + " under parent " +
+                   std::to_string(p));
+    FCM_ASSERT(!overflowed_child || parents[p] > 0,
+               "FcmTree: overflowed node at stage " + std::to_string(stage) +
+                   " under parent " + std::to_string(p) +
+                   " but its parent holds no count");
+    FCM_ASSERT(overflowed_child || parents[p] == 0,
+               "FcmTree: stage " + std::to_string(stage + 1) + " node " +
+                   std::to_string(p) + " holds a count but no child overflowed");
+  }
+}
+
+// assert_blocks over a whole level, a run of kRunLanes children at a time
+// when k divides it: a run with no child at the marker and no parent
+// holding a count passes once its children fit the marker, which is all
+// ones (2^b - 1), so their bitwise OR fits it too. Other runs, and the
+// tail, take the per-block test.
+void assert_level(std::span<const std::uint32_t> children,
+                  std::span<const std::uint32_t> parents, std::size_t k,
+                  std::uint32_t mark, std::size_t stage) {
+  const std::size_t run_parents = kRunLanes % k == 0 ? kRunLanes / k : 0;
+  const std::size_t runs = run_parents != 0 ? parents.size() / run_parents : 0;
+  for (std::size_t r = 0; r < runs; ++r) {
+    const std::size_t base = r * kRunLanes;
+    std::uint32_t any_bits = 0;
+    std::uint32_t at_marker = 0;
+    for (std::size_t j = 0; j < kRunLanes; ++j) {
+      any_bits |= children[base + j];
+      at_marker |= children[base + j] == mark;
+    }
+    std::uint32_t parent_bits = 0;
+    for (std::size_t p = r * run_parents; p < (r + 1) * run_parents; ++p) {
+      parent_bits |= parents[p];
+    }
+    if (any_bits > mark || (at_marker | parent_bits) != 0) {
+      assert_blocks(children, parents, k, mark, stage, r * run_parents,
+                    (r + 1) * run_parents);
+    }
+  }
+  assert_blocks(children, parents, k, mark, stage, runs * run_parents,
+                parents.size());
+}
+
+}  // namespace
+
 void FcmTree::check_invariants() const {
   const std::size_t levels = config_.stage_count();
   FCM_ASSERT(stages_.size() == levels,
@@ -334,36 +501,16 @@ void FcmTree::check_invariants() const {
     FCM_ASSERT(marker_[l] == counting_max_[l] + 1,
                "FcmTree: marker/counting-max mismatch at stage " +
                    std::to_string(l + 1));
-    for (std::size_t i = 0; i < stages_[l].size(); ++i) {
-      const std::uint32_t v = stages_[l][i];
-      // Bit-width saturation: a b-bit node never stores more than 2^b - 1.
-      FCM_ASSERT(v <= marker_[l],
-                 "FcmTree: node value exceeds its bit width at stage " +
-                     std::to_string(l + 1) + " index " + std::to_string(i));
-      if (l + 1 < levels) {
-        // Overflow flag ↔ next-level counter consistency (Figure 3): the
-        // tripping increment always lands in the parent.
-        FCM_ASSERT(v != marker_[l] || stages_[l + 1][i / config_.k] > 0,
-                   "FcmTree: overflowed node at stage " + std::to_string(l + 1) +
-                       " index " + std::to_string(i) +
-                       " but its parent holds no count");
-      }
-      if (l > 0 && v > 0) {
-        // A non-leaf node only receives counts via child overflow.
-        bool any_overflowed_child = false;
-        for (std::size_t c = i * config_.k;
-             c < std::min((i + 1) * config_.k, stages_[l - 1].size()); ++c) {
-          if (stages_[l - 1][c] == marker_[l - 1]) {
-            any_overflowed_child = true;
-            break;
-          }
-        }
-        FCM_ASSERT(any_overflowed_child,
-                   "FcmTree: stage " + std::to_string(l + 1) + " node " +
-                       std::to_string(i) +
-                       " holds a count but no child overflowed");
-      }
-    }
+  }
+  // One pass per level over its parent blocks of k children; the root has
+  // no parent and is checked for its bit width alone.
+  for (std::size_t l = 0; l + 1 < levels; ++l) {
+    assert_level(stages_[l], stages_[l + 1], config_.k, marker_[l], l + 1);
+  }
+  for (std::size_t i = 0; i < stages_.back().size(); ++i) {
+    FCM_ASSERT(stages_.back()[i] <= marker_.back(),
+               "FcmTree: node value exceeds its bit width at stage " +
+                   std::to_string(levels) + " index " + std::to_string(i));
   }
 }
 

@@ -143,8 +143,9 @@ class FcmTree {
   //   - overflow-flag ↔ parent consistency: an overflowed node's parent
   //     holds a positive count (the carry landed), and a non-leaf node with
   //     a positive count has at least one overflowed child.
-  // Cheap enough for test sweeps; CHECKED builds call it from hot paths via
-  // FCM_CHECKED_ONLY.
+  // One pass per level over its parent blocks of k children, cheap enough
+  // for test sweeps and once per wire decode; CHECKED builds call it from
+  // hot paths via FCM_CHECKED_ONLY.
   void check_invariants() const;
 
   // The hash function selecting this tree's leaf (needed to compile the

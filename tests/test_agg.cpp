@@ -344,5 +344,51 @@ TEST(AggregationServiceTest, MetricsRecordOutcomesAndWatermark) {
             1u);
 }
 
+// fcm_agg_decode_seconds samples every delivery that reaches
+// deserialize_framework — every one that passed the header gate (type,
+// fingerprint, vantage id) — whether the decode, or the state checks after
+// it, then accept or reject the snapshot. Header rejects never decode.
+TEST(AggregationServiceTest, DecodeHistogramCountsDeliveriesPastHeaderGate) {
+  obs::MetricsRegistry registry;
+  auto options = service_options(2);
+  options.metrics = &registry;
+  AggregationService service(std::move(options));
+  framework::FcmFramework fw(service.vantage_options());
+  fw.process(flow::FlowKey{1});
+  const auto decode_count = [&] {
+    return registry
+        .histogram("fcm_agg_decode_seconds", obs::Histogram::latency_bounds())
+        .count();
+  };
+
+  // Header gate rejects: unknown vantage, foreign fingerprint, garbage.
+  EXPECT_EQ(service.deliver(envelope_for(fw, 9, 1)),
+            DeliveryStatus::kRejectedUnknownVantage);
+  auto foreign_options = reference_options();
+  foreign_options.fcm.leaf_count *= 2;
+  const framework::FcmFramework foreign(foreign_options);
+  EXPECT_EQ(service.deliver(envelope_for(foreign, 0, 1)),
+            DeliveryStatus::kRejectedFingerprint);
+  SnapshotEnvelope garbage;
+  garbage.payload.assign(40, std::byte{0x5a});
+  EXPECT_EQ(service.deliver(std::move(garbage)),
+            DeliveryStatus::kRejectedMalformed);
+  EXPECT_EQ(decode_count(), 0u);
+
+  // Past the gate: a body the decoder rejects (the Top-K flag byte out of
+  // range), two accepts, a duplicate and a stale redelivery.
+  SnapshotEnvelope corrupt_body = envelope_for(fw, 0, 1);
+  corrupt_body.payload[24] = std::byte{2};
+  EXPECT_EQ(service.deliver(std::move(corrupt_body)),
+            DeliveryStatus::kRejectedMalformed);
+  EXPECT_EQ(service.deliver(envelope_for(fw, 0, 1)), DeliveryStatus::kAccepted);
+  EXPECT_EQ(service.deliver(envelope_for(fw, 0, 1)),
+            DeliveryStatus::kRejectedDuplicate);
+  EXPECT_EQ(service.deliver(envelope_for(fw, 1, 1)), DeliveryStatus::kAccepted);
+  EXPECT_EQ(service.deliver(envelope_for(fw, 1, 1)),
+            DeliveryStatus::kRejectedStale);
+  EXPECT_EQ(decode_count(), 5u);
+}
+
 }  // namespace
 }  // namespace fcm

@@ -144,6 +144,128 @@ TEST(FcmTreeMerge, BitExactVersusSerialThroughAllLevels) {
   EXPECT_EQ(shard_a.empty_leaf_count(), serial.empty_leaf_count());
 }
 
+// --- promotion tally --------------------------------------------------------
+
+// overflow_promotion_count() after merging N trees must equal the inputs'
+// own counts plus the nodes that trip only in the merge: overflowed in the
+// result but in none of the inputs (a marker is sticky, so a node counted
+// fresh in one pairwise merge is an operand overflow in the next). Each
+// shape places its leaves so the level walk meets it in a particular kind
+// of block; every merged state must also equal a serial tree fed all the
+// inputs' arrivals.
+struct Arrival {
+  std::size_t leaf;
+  std::uint64_t count;
+};
+
+enum class TallyShape { kMergeFreshTrip, kLaneAtMarker, kClean, kRootOverflow };
+
+std::vector<std::vector<Arrival>> tally_arrivals(TallyShape shape,
+                                                 std::size_t n) {
+  std::vector<std::vector<Arrival>> inputs(n);
+  for (std::size_t s = 0; s < n; ++s) {
+    switch (shape) {
+      case TallyShape::kMergeFreshTrip:
+        // 16 / N per input stays below the leaf cap (14); the sum of 16
+        // does not, so the leaf trips only in the merge.
+        inputs[s].push_back({5, 16 / n});
+        inputs[s].push_back({6, 1});
+        break;
+      case TallyShape::kLaneAtMarker:
+        // Input 0 alone overflows leaf 70; its block-mates stay small.
+        if (s == 0) inputs[s].push_back({70, 20});
+        inputs[s].push_back({69, 1});
+        inputs[s].push_back({71, 1});
+        break;
+      case TallyShape::kClean:
+        // At most N <= 8 <= 14 arrivals on any leaf: nothing overflows.
+        inputs[s].push_back({130, 1});
+        inputs[s].push_back({131 + s, 1});
+        break;
+      case TallyShape::kRootOverflow:
+        // 80'000 arrivals on one path exceed all three levels together
+        // (14 + 254 + 65534): no input's root overflows, the merged one
+        // does, and the excess beyond it is dropped. Input 0 also
+        // overflows another root on its own.
+        inputs[s].push_back({200, 80'000 / n});
+        if (s == 0) inputs[s].push_back({900, 70'000});
+        break;
+    }
+  }
+  return inputs;
+}
+
+std::uint64_t merge_only_trips(const std::vector<FcmTree>& inputs,
+                               const FcmTree& merged) {
+  std::uint64_t trips = 0;
+  for (std::size_t l = 1; l <= merged.config().stage_count(); ++l) {
+    for (std::size_t i = 0; i < merged.stage(l).size(); ++i) {
+      if (!merged.node_overflowed(l, i)) continue;
+      trips += std::none_of(inputs.begin(), inputs.end(),
+                            [&](const FcmTree& t) {
+                              return t.node_overflowed(l, i);
+                            })
+                   ? 1
+                   : 0;
+    }
+  }
+  return trips;
+}
+
+TEST(FcmTreeMerge, PromotionTallyIsInputsPlusMergeOnlyTrips) {
+  // The overflow-heavy geometry, widened so the root level (64 nodes)
+  // holds a full 64-lane run of the merge's block walk too.
+  FcmConfig config = tiny_config();
+  config.leaf_count = 1024;
+  const auto hash = common::make_hash(config.seed, 0);
+  for (const TallyShape shape :
+       {TallyShape::kMergeFreshTrip, TallyShape::kLaneAtMarker,
+        TallyShape::kClean, TallyShape::kRootOverflow}) {
+    for (const std::size_t n : {2u, 4u, 8u}) {
+      SCOPED_TRACE("shape " + std::to_string(static_cast<int>(shape)) +
+                   ", N = " + std::to_string(n));
+      std::vector<FcmTree> inputs(n, FcmTree(config, hash));
+      FcmTree serial(config, hash);
+      const auto arrivals = tally_arrivals(shape, n);
+      std::uint64_t input_promotions = 0;
+      for (std::size_t s = 0; s < n; ++s) {
+        for (const Arrival& a : arrivals[s]) {
+          inputs[s].add_at(a.leaf, a.count);
+          serial.add_at(a.leaf, a.count);
+        }
+        input_promotions += inputs[s].overflow_promotion_count();
+      }
+      FcmTree merged = inputs[0];
+      for (std::size_t s = 1; s < n; ++s) merged.merge(inputs[s]);
+      expect_same_tree_state(merged, serial);
+      merged.check_invariants();
+
+      const std::uint64_t fresh = merge_only_trips(inputs, merged);
+      EXPECT_EQ(merged.overflow_promotion_count(), input_promotions + fresh);
+      switch (shape) {
+        case TallyShape::kMergeFreshTrip:
+          EXPECT_EQ(fresh, 1u);  // leaf 5
+          EXPECT_EQ(input_promotions, 0u);
+          break;
+        case TallyShape::kLaneAtMarker:
+          EXPECT_EQ(fresh, 0u);
+          EXPECT_EQ(input_promotions, 1u);  // input 0's leaf 70
+          break;
+        case TallyShape::kClean:
+          EXPECT_EQ(merged.overflow_promotion_count(), 0u);
+          break;
+        case TallyShape::kRootOverflow: {
+          // Leaf 200's root trips only in the merge.
+          const std::size_t root = 200 / (config.k * config.k);
+          EXPECT_TRUE(merged.node_overflowed(3, root));
+          EXPECT_GE(fresh, 1u);
+          break;
+        }
+      }
+    }
+  }
+}
+
 TEST(FcmTreeMerge, RejectsMismatchedGeometryAndHash) {
   const FcmConfig config = tiny_config();
   FcmTree tree(config, common::make_hash(config.seed, 0));

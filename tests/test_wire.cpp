@@ -8,7 +8,10 @@
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
+#include <functional>
 #include <optional>
+#include <span>
+#include <string>
 #include <tuple>
 #include <unordered_map>
 #include <vector>
@@ -213,6 +216,88 @@ TEST(WireRoundTrip, EmptyObjectsRoundTrip) {
   (void)WireCodec::deserialize_framework(WireCodec::serialize(fw), nullptr);
 }
 
+// --- golden bytes -----------------------------------------------------------
+
+// The encoded bytes themselves are pinned, not only their round-trip: each
+// fixed-seed input below must serialize to a frame with exactly this length
+// and this 64-bit digest (WireCodec::fingerprint_bytes over the whole frame).
+// A codec rewrite that changes any byte — endianness, element width, field
+// order, padding — fails here even if it still round-trips through its own
+// decoder. The digests were recorded with the per-byte codec that preceded
+// the bulk one. The tree, sketch and plain-framework inputs carry a jumbo
+// flow so every stage width (1-, 2- and 4-byte elements) holds non-trivial
+// values, overflow markers included.
+struct GoldenFrame {
+  const char* name;
+  std::vector<std::byte> wire;
+  std::size_t bytes;
+  std::uint64_t digest;
+};
+
+TEST(WireGolden, SerializedBytesArePinned) {
+  const std::vector<flow::FlowKey> keys =
+      random_keys(kSeed, kTraceLength, kUniverse);
+  const flow::FlowKey jumbo{0x0a0a0a0a};
+  constexpr std::uint64_t kJumbo = 70'000;  // overflows the 16-bit stage
+
+  core::FcmTree tree(small_fcm_config(kSeed), common::make_hash(kSeed, 0));
+  core::FcmSketch sketch(small_fcm_config(kSeed));
+  sketch.set_heavy_hitter_threshold(64);
+  core::FcmTopK topk(proptest::small_topk_config(kSeed));
+  topk.set_heavy_hitter_threshold(64);
+  sketch::CmSketch cm(3, 4096, kSeed);
+  sketch::CuSketch cu(3, 4096, kSeed);
+  sketch::TopKFilter filter(64, 8, kSeed);
+  sketch::LinearCounting lc(4093, kSeed);  // not a multiple of 8: pad bits
+  sketch::HyperLogLog hll(1024, kSeed);
+  framework::FcmFramework plain(plain_options());
+  framework::FcmFramework with_topk(topk_options());
+  for (const flow::FlowKey key : keys) {
+    tree.add(key);
+    sketch.update(key);
+    topk.update(key);
+    cm.update(key);
+    cu.update(key);
+    (void)filter.offer(key);
+    lc.update(key);
+    hll.update(key);
+    plain.process(key);
+    with_topk.process(key);
+  }
+  tree.add(jumbo, kJumbo);
+  sketch.add(jumbo, kJumbo);
+  plain.process_weighted(jumbo, kJumbo);
+
+  const GoldenFrame golden[] = {
+      {"FcmTree", WireCodec::serialize(tree),
+       5440, 0x2836a7bfd7268db8ull},
+      {"FcmSketch", WireCodec::serialize(sketch),
+       10965, 0x063fccf727f24e0dull},
+      {"FcmTopK", WireCodec::serialize(topk),
+       11733, 0x8d26d38aca9e0ac5ull},
+      {"CmSketch", WireCodec::serialize(cm),
+       49208, 0x1fe61a51fb3f206full},
+      {"CuSketch", WireCodec::serialize(cu),
+       49208, 0xee81697108ec638bull},
+      {"TopKFilter", WireCodec::serialize(filter),
+       872, 0x48e648f65593bf7dull},
+      {"LinearCounting", WireCodec::serialize(lc),
+       548, 0x15ed38f6a92bfd04ull},
+      {"HyperLogLog", WireCodec::serialize(hll),
+       1053, 0xa70b06db228ae82aull},
+      {"FcmFramework(plain)", WireCodec::serialize(plain),
+       11047, 0x1eae0495ddd1764dull},
+      {"FcmFramework(topk)", WireCodec::serialize(with_topk),
+       11815, 0x845d6e13c74ea58dull},
+  };
+  for (const GoldenFrame& frame : golden) {
+    EXPECT_EQ(frame.wire.size(), frame.bytes) << frame.name;
+    EXPECT_EQ(WireCodec::fingerprint_bytes(frame.wire), frame.digest)
+        << frame.name << std::hex << " digest 0x"
+        << WireCodec::fingerprint_bytes(frame.wire);
+  }
+}
+
 // --- header / fingerprint semantics ----------------------------------------
 
 TEST(WireHeaderTest, PeekReportsTypeVersionFingerprint) {
@@ -305,27 +390,129 @@ TEST(WireHostile, HeaderCorruptionsThrow) {
 // A flipped bit anywhere in the payload must either throw or produce an
 // object that still passes its deep invariants — never UB, never a
 // structurally broken sketch (fuzz-lite, same posture as test_trace_io).
-TEST(WireHostile, PayloadBitFlipsNeverBreakInvariants) {
-  core::FcmSketch sketch(small_fcm_config(kSeed));
-  sketch.set_heavy_hitter_threshold(8);
-  for (const flow::FlowKey key : random_keys(kSeed, 2'000, 200)) {
-    sketch.update(key);
-  }
-  const auto wire = WireCodec::serialize(sketch);
+// The invariant check runs outside the decode's try block, so a decoder
+// that stopped sweeping would hand back a broken object and fail here.
+template <typename Decode>
+std::size_t expect_flips_rejected_or_sound(const std::vector<std::byte>& wire,
+                                           Decode decode) {
   std::size_t rejected = 0;
   for (std::size_t i = 24; i < wire.size(); ++i) {
     auto corrupt = wire;
     corrupt[i] ^= std::byte{0x01};
+    std::optional<decltype(decode(corrupt))> restored;
     try {
-      const core::FcmSketch restored = WireCodec::deserialize_sketch(corrupt);
-      restored.check_invariants();
+      restored.emplace(decode(corrupt));
     } catch (const ContractViolation&) {
       ++rejected;
+      continue;
     }
+    EXPECT_NO_THROW(restored->check_invariants()) << "payload byte " << i;
+  }
+  return rejected;
+}
+
+TEST(WireHostile, PayloadBitFlipsNeverBreakInvariants) {
+  core::FcmSketch sketch(small_fcm_config(kSeed));
+  sketch.set_heavy_hitter_threshold(8);
+  framework::FcmFramework fw(plain_options());
+  for (const flow::FlowKey key : random_keys(kSeed, 2'000, 200)) {
+    sketch.update(key);
+    fw.process(key);
   }
   // The config section, seeds, markers and count fields must all reject;
   // only flips inside plain counter values can legitimately decode.
-  EXPECT_GT(rejected, 0u);
+  EXPECT_GT(expect_flips_rejected_or_sound(
+                WireCodec::serialize(sketch),
+                [](std::span<const std::byte> b) {
+                  return WireCodec::deserialize_sketch(b);
+                }),
+            0u);
+  EXPECT_GT(expect_flips_rejected_or_sound(
+                WireCodec::serialize(fw),
+                [](std::span<const std::byte> b) {
+                  return WireCodec::deserialize_framework(b, nullptr);
+                }),
+            0u);
+}
+
+// Frames whose every value is in range but whose trees break the overflow
+// invariant (Figure 3) pass every field-level check; only the deep sweep,
+// which runs once per top-level decode, can reject them. Each top-level
+// entry point must still run it.
+std::size_t stage_offset(std::size_t tree0_offset,
+                         const core::FcmConfig& config, std::size_t stage) {
+  std::size_t offset = tree0_offset + 4 + 8;  // hash seed + promotions
+  for (std::size_t l = 1; l < stage; ++l) {
+    offset += config.width(l) * (config.stage_bits[l - 1] <= 8 ? 1 : 2);
+  }
+  return offset;
+}
+
+TEST(WireHostile, InvariantBreakingFramesThrowFromEveryEntryPoint) {
+  const core::FcmConfig config = small_fcm_config(kSeed);
+  ASSERT_EQ(config.stage_bits, (std::vector<unsigned>{8, 16, 32}));
+  const std::size_t config_bytes = 4 + 4 + 8 + 8 + 1 + config.stage_count();
+  // Frame header, then the payload up to tree 0 of the (first) sketch body.
+  const std::size_t sketch_tree0 = 24 + config_bytes;
+  const std::size_t framework_tree0 =
+      24 + 1 + config_bytes + 8 + 8 + 1 + 4 * 8 + 4 + config_bytes;
+
+  struct Entry {
+    const char* name;
+    std::vector<std::byte> wire;
+    std::size_t tree0;
+    std::function<void(std::span<const std::byte>)> decode;
+  };
+  const Entry entries[] = {
+      {"deserialize_tree",
+       WireCodec::serialize(core::FcmTree(config, common::make_hash(kSeed, 0))),
+       sketch_tree0,
+       [](std::span<const std::byte> b) {
+         (void)WireCodec::deserialize_tree(b);
+       }},
+      {"deserialize_sketch", WireCodec::serialize(core::FcmSketch(config)),
+       sketch_tree0,
+       [](std::span<const std::byte> b) {
+         (void)WireCodec::deserialize_sketch(b);
+       }},
+      {"deserialize_fcm_topk",
+       WireCodec::serialize(core::FcmTopK(proptest::small_topk_config(kSeed))),
+       sketch_tree0,
+       [](std::span<const std::byte> b) {
+         (void)WireCodec::deserialize_fcm_topk(b);
+       }},
+      {"deserialize_framework",
+       WireCodec::serialize(framework::FcmFramework(plain_options())),
+       framework_tree0,
+       [](std::span<const std::byte> b) {
+         (void)WireCodec::deserialize_framework(b, nullptr);
+       }},
+  };
+  for (const Entry& entry : entries) {
+    SCOPED_TRACE(entry.name);
+    ASSERT_NO_THROW(entry.decode(entry.wire));  // the untouched frame is sound
+    const std::size_t leaf = stage_offset(entry.tree0, config, 1);
+    const std::size_t parent = stage_offset(entry.tree0, config, 2);
+    ASSERT_EQ(entry.wire[leaf], std::byte{0});
+    ASSERT_EQ(entry.wire[parent], std::byte{0});
+
+    // An overflowed leaf (the 8-bit marker 0xff) under a zero parent.
+    auto orphan_overflow = entry.wire;
+    orphan_overflow[leaf] = std::byte{0xff};
+    // A parent holding a count (16-bit 1) with no overflowed child.
+    auto orphan_count = entry.wire;
+    orphan_count[parent] = std::byte{0x01};
+    for (const auto& forged : {orphan_overflow, orphan_count}) {
+      try {
+        entry.decode(forged);
+        ADD_FAILURE() << "forged frame decoded without a violation";
+      } catch (const ContractViolation& violation) {
+        EXPECT_NE(std::string(violation.what()).find("FcmTree:"),
+                  std::string::npos)
+            << violation.what();
+      }
+    }
+  }
 }
 
 // Oversized declared counts must be rejected BEFORE any allocation is
