@@ -173,6 +173,9 @@ DeliveryStatus AggregationService::deliver(SnapshotEnvelope envelope) {
   const DeliveryStatus status = absorb(envelope.vantage_id, envelope.epoch,
                                        std::move(*snapshot),
                                        envelope.payload.size());
+  // The snapshot is merged into (or moved into) its pending epoch by now.
+  // Free it before publishing, where the service's memory peaks.
+  snapshot.reset();
   if (status == DeliveryStatus::kAccepted) publish_ready();
   if (instruments_ != nullptr) {
     instruments_->by_status[static_cast<std::size_t>(status)]->inc();

@@ -4,6 +4,7 @@
 #include <array>
 #include <string>
 #include <utility>
+#include <variant>
 
 #include "common/hash.h"
 
@@ -19,65 +20,76 @@ constexpr std::uint64_t kFingerprintSalt = 0xfc3a'9617'57a9'e001ull;
 // before any allocation, so a hostile count cannot overflow the arithmetic.
 constexpr std::uint64_t kMaxWireTrees = 64;
 
-// Smallest fixed width that holds a b-bit stage's overflow marker 2^b - 1.
-std::uint64_t stage_elem_bytes(unsigned bits) {
-  return bits <= 8 ? 1 : bits <= 16 ? 2 : 4;
-}
-
 // Bytes encode_config writes.
 std::size_t config_bytes(const core::FcmConfig& config) {
   return 4 + 4 + 8 + 8 + 1 + config.stage_count();
 }
 
-// Bytes one tree's state section occupies: promotions + per-stage arrays.
+// Bytes one tree's state section occupies: promotions + per-stage arrays,
+// each at FcmConfig::stage_bytes per node (the width FcmTree stores).
 std::uint64_t tree_state_bytes(const core::FcmConfig& config) {
   std::uint64_t total = 8;  // promotions
   for (std::size_t l = 1; l <= config.stage_count(); ++l) {
-    total += static_cast<std::uint64_t>(config.width(l)) *
-             stage_elem_bytes(config.stage_bits[l - 1]);
+    total += static_cast<std::uint64_t>(config.width(l)) * config.stage_bytes(l);
   }
   return total;
 }
 
-// The counter-array loops, one instantiation per element width (1, 2 or 4
-// bytes per value, through detail::store_le / load_le).
+// The counter-array loops, one instantiation per value type T (uint8_t,
+// uint16_t or uint32_t), each value written as a sizeof(T)-byte
+// little-endian integer through detail::store_le / load_le.
 //
 // put_uints encodes runs of kPutRun values into a local byte array and
 // copies each run out whole: the local cannot alias the counters, so both
 // loops vectorize; the tail is encoded value by value.
 constexpr std::size_t kPutRun = 16;
 
-template <std::size_t Width>
-void put_uints(std::span<std::byte> out,
-               std::span<const std::uint32_t> values) noexcept {
+template <typename T>
+void put_uints(std::span<std::byte> out, std::span<const T> values) noexcept {
+  constexpr std::size_t kWidth = sizeof(T);
   const std::size_t runs_end = values.size() - values.size() % kPutRun;
   for (std::size_t base = 0; base < runs_end; base += kPutRun) {
-    std::array<std::byte, kPutRun * Width> run;
+    std::array<std::byte, kPutRun * kWidth> run;
     for (std::size_t j = 0; j < kPutRun; ++j) {
-      detail::store_le(std::span(run).subspan(j * Width, Width),
-                       values[base + j], std::make_index_sequence<Width>{});
+      detail::store_le(std::span(run).subspan(j * kWidth, kWidth),
+                       values[base + j], std::make_index_sequence<kWidth>{});
     }
-    for (std::size_t j = 0; j < run.size(); ++j) out[base * Width + j] = run[j];
+    for (std::size_t j = 0; j < run.size(); ++j) {
+      out[base * kWidth + j] = run[j];
+    }
   }
   for (std::size_t i = runs_end; i < values.size(); ++i) {
-    detail::store_le(out.subspan(i * Width, Width), values[i],
-                     std::make_index_sequence<Width>{});
+    detail::store_le(out.subspan(i * kWidth, kWidth), values[i],
+                     std::make_index_sequence<kWidth>{});
   }
 }
 
 // Returns the bitwise OR of the decoded values: for an all-ones bound
 // 2^b - 1 (a stage's overflow marker), OR <= bound iff every value is, so
 // one comparison range-checks the whole array. An OR reduction has no
-// loop-carried compare, unlike a running max.
-template <std::size_t Width>
-std::uint32_t get_uints(std::span<const std::byte> in,
-                        std::span<std::uint32_t> values) noexcept {
-  std::uint32_t any_bits = 0;
-  for (std::size_t i = 0; i < values.size(); ++i) {
-    const std::uint32_t v = detail::load_le<std::uint32_t>(
-        in.subspan(i * Width, Width), std::make_index_sequence<Width>{});
-    values[i] = v;
-    any_bits |= v;
+// loop-carried compare, unlike a running max. Like put_uints, each run is
+// decoded into a local first and copied out whole: stores into `values`
+// could otherwise alias `in`, which would keep the decode from vectorizing.
+template <typename T>
+T get_uints(std::span<const std::byte> in, std::span<T> values) noexcept {
+  constexpr std::size_t kWidth = sizeof(T);
+  const auto get = [&](std::size_t i) {
+    return detail::load_le<T>(in.subspan(i * kWidth, kWidth),
+                              std::make_index_sequence<kWidth>{});
+  };
+  T any_bits = 0;
+  const std::size_t runs_end = values.size() - values.size() % kPutRun;
+  for (std::size_t base = 0; base < runs_end; base += kPutRun) {
+    std::array<T, kPutRun> run;
+    for (std::size_t j = 0; j < kPutRun; ++j) {
+      run[j] = get(base + j);
+      any_bits |= run[j];
+    }
+    for (std::size_t j = 0; j < kPutRun; ++j) values[base + j] = run[j];
+  }
+  for (std::size_t i = runs_end; i < values.size(); ++i) {
+    values[i] = get(i);
+    any_bits |= values[i];
   }
   return any_bits;
 }
@@ -98,39 +110,24 @@ void require_valid_config(const core::FcmConfig& config) {
 
 // --- bulk counter arrays ----------------------------------------------------
 
-void WireWriter::uints(std::span<const std::uint32_t> values,
-                       std::size_t width) {
-  const std::span<std::byte> out = claim(values.size() * width);
-  switch (width) {
-    case 1:
-      put_uints<1>(out, values);
-      return;
-    case 2:
-      put_uints<2>(out, values);
-      return;
-    default:
-      FCM_ASSERT(width == 4,
-                 "WireWriter::uints: element width must be 1, 2 or 4");
-      put_uints<4>(out, values);
-      return;
-  }
+template <typename T>
+void WireWriter::uints(std::span<const T> values) {
+  put_uints(claim(values.size() * sizeof(T)), values);
 }
 
-std::uint32_t WireReader::uints(std::span<std::uint32_t> out,
-                                std::size_t width) {
-  const std::span<const std::byte> in =
-      take(out.size() * width, "wire: truncated buffer (counter array)");
-  switch (width) {
-    case 1:
-      return get_uints<1>(in, out);
-    case 2:
-      return get_uints<2>(in, out);
-    default:
-      FCM_ASSERT(width == 4,
-                 "WireReader::uints: element width must be 1, 2 or 4");
-      return get_uints<4>(in, out);
-  }
+template <typename T>
+T WireReader::uints(std::span<T> out) {
+  return get_uints(
+      take(out.size() * sizeof(T), "wire: truncated buffer (counter array)"),
+      out);
 }
+
+template void WireWriter::uints(std::span<const std::uint8_t>);
+template void WireWriter::uints(std::span<const std::uint16_t>);
+template void WireWriter::uints(std::span<const std::uint32_t>);
+template std::uint8_t WireReader::uints(std::span<std::uint8_t>);
+template std::uint16_t WireReader::uints(std::span<std::uint16_t>);
+template std::uint32_t WireReader::uints(std::span<std::uint32_t>);
 
 // --- fingerprints -----------------------------------------------------------
 
@@ -298,22 +295,26 @@ core::FcmConfig WireCodec::decode_config(WireReader& in) {
 
 void WireCodec::encode_tree_state(WireWriter& out, const core::FcmTree& tree) {
   out.u64(tree.promotions_);
-  const core::FcmConfig& config = tree.config();
-  for (std::size_t l = 1; l <= config.stage_count(); ++l) {
-    out.uints(tree.stages_[l - 1], stage_elem_bytes(config.stage_bits[l - 1]));
+  // Each stage is held at its wire width (FcmConfig::stage_bytes), so its
+  // counter section is a straight little-endian copy.
+  for (const core::FcmTree::StageArray& stage : tree.stages_) {
+    std::visit([&](const auto& nodes) { out.uints(std::span(nodes)); },
+               stage);
   }
 }
 
 void WireCodec::decode_tree_state(WireReader& in, core::FcmTree& tree) {
-  const core::FcmConfig& config = tree.config();
   tree.promotions_ = in.u64();
-  for (std::size_t l = 1; l <= config.stage_count(); ++l) {
-    std::vector<std::uint32_t>& stage = tree.stages_[l - 1];
-    const std::uint64_t elem = stage_elem_bytes(config.stage_bits[l - 1]);
+  for (std::size_t l = 1; l <= tree.stages_.size(); ++l) {
     // The overflow marker 2^b - 1 is the largest storable value; it is all
     // ones, so the OR of the stage's values fits it iff every value does.
-    const std::uint64_t marker = config.counting_max(l) + 1;
-    FCM_REQUIRE(in.uints(stage, elem) <= marker,
+    // The storage type may hold more than b bits (a 6-bit stage is stored
+    // in bytes), so the check is what keeps 64..255 out of such a stage.
+    const std::uint64_t marker = tree.config().counting_max(l) + 1;
+    const std::uint64_t any_bits = std::visit(
+        [&](auto& nodes) -> std::uint64_t { return in.uints(std::span(nodes)); },
+        tree.stages_[l - 1]);
+    FCM_REQUIRE(any_bits <= marker,
                 "wire: tree node value exceeds its stage bit width "
                 "(corrupt or hostile buffer)");
   }
@@ -370,7 +371,7 @@ void WireCodec::encode_sketch_body(WireWriter& out, const core::FcmSketch& s) {
   for (const flow::FlowKey key : s.heavy_hitters_) hh.push_back(key.value);
   std::sort(hh.begin(), hh.end());
   out.u64(hh.size());
-  out.uints(hh, 4);
+  out.uints<std::uint32_t>(hh);
   out.u64(s.cardinality_saturations_);
 }
 
@@ -454,7 +455,9 @@ void WireCodec::encode_cm_body(WireWriter& out, const sketch::CmSketch& cm) {
   out.u64(cm.width());
   for (const common::SeededHash& hash : cm.hashes_) out.u32(hash.seed());
   out.u64(cm.saturations_);
-  for (const std::vector<std::uint32_t>& row : cm.rows_) out.uints(row, 4);
+  for (const std::vector<std::uint32_t>& row : cm.rows_) {
+    out.uints<std::uint32_t>(row);
+  }
 }
 
 void WireCodec::decode_cm_body(WireReader& in, sketch::CmSketch& cm) {
@@ -465,7 +468,8 @@ void WireCodec::decode_cm_body(WireReader& in, sketch::CmSketch& cm) {
   }
   cm.saturations_ = in.u64();
   for (std::vector<std::uint32_t>& row : cm.rows_) {
-    static_cast<void>(in.uints(row, 4));  // every u32 is a valid counter
+    // Every u32 is a valid counter, so the OR goes unchecked.
+    static_cast<void>(in.uints<std::uint32_t>(row));
   }
   cm.check_invariants();
 }

@@ -112,9 +112,10 @@ class WireWriter {
   void u32(std::uint32_t v) { put(v); }
   void u64(std::uint64_t v) { put(v); }
 
-  // Bulk form for counter arrays: each value as a `width`-byte (1, 2 or 4)
-  // little-endian integer. The caller guarantees every value fits.
-  void uints(std::span<const std::uint32_t> values, std::size_t width);
+  // Bulk form for counter arrays: each value as a sizeof(T)-byte
+  // little-endian integer (T is uint8_t, uint16_t or uint32_t).
+  template <typename T>
+  void uints(std::span<const T> values);
 
   std::span<const std::byte> bytes() const noexcept {
     return std::span<const std::byte>(buf_).first(pos_);
@@ -180,12 +181,13 @@ class WireReader {
     return get<std::uint64_t>("wire: truncated buffer (u64)");
   }
 
-  // Bulk form for counter arrays: fills `out` with `width`-byte (1, 2 or 4)
-  // little-endian values and returns their bitwise OR. Against an all-ones
-  // bound 2^b - 1 (a stage's overflow marker) the OR is <= the bound iff
-  // every value is, so the caller range-checks the whole array with one
-  // comparison.
-  std::uint32_t uints(std::span<std::uint32_t> out, std::size_t width);
+  // Bulk form for counter arrays: fills `out` with sizeof(T)-byte
+  // little-endian values (T is uint8_t, uint16_t or uint32_t) and returns
+  // their bitwise OR. Against an all-ones bound 2^b - 1 (a stage's overflow
+  // marker) the OR is <= the bound iff every value is, so the caller
+  // range-checks the whole array with one comparison.
+  template <typename T>
+  T uints(std::span<T> out);
 
  private:
   template <typename T>

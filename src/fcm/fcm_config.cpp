@@ -18,6 +18,11 @@ std::uint64_t FcmConfig::counting_max(std::size_t stage) const noexcept {
   return common::fcm_counting_max(stage_bits[stage - 1]);
 }
 
+std::size_t FcmConfig::stage_bytes(std::size_t stage) const noexcept {
+  const unsigned bits = stage_bits[stage - 1];
+  return bits <= 8 ? 1 : bits <= 16 ? 2 : 4;
+}
+
 std::size_t FcmConfig::memory_bytes() const noexcept {
   std::size_t bits = 0;
   for (std::size_t l = 1; l <= stage_count(); ++l) {

@@ -31,6 +31,11 @@ struct FcmConfig {
   // Maximum counting value at stage l: 2^b_l - 2 (theta_l in the paper).
   std::uint64_t counting_max(std::size_t stage) const noexcept;
 
+  // Bytes one stage-l node occupies, in FcmTree's arrays and in a wire
+  // frame alike: the smallest of 1, 2 or 4 that holds the overflow marker
+  // 2^b_l - 1.
+  std::size_t stage_bytes(std::size_t stage) const noexcept;
+
   // Logical memory of the whole sketch in bytes (what the paper's "memory
   // usage" axis measures): sum over trees and stages of w_l * b_l / 8.
   std::size_t memory_bytes() const noexcept;

@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <string>
+#include <type_traits>
+#include <utility>
 
 #include "common/bitutil.h"
 #include "common/contracts.h"
@@ -12,11 +14,22 @@ FcmTree::FcmTree(const FcmConfig& config, common::SeededHash hash)
     : config_(config), hash_(hash) {
   config_.validate();
   const std::size_t levels = config_.stage_count();
-  stages_.resize(levels);
+  stages_.reserve(levels);
   counting_max_.resize(levels);
   marker_.resize(levels);
   for (std::size_t l = 1; l <= levels; ++l) {
-    stages_[l - 1].assign(config_.width(l), 0);
+    const std::size_t width = config_.width(l);
+    switch (config_.stage_bytes(l)) {
+      case 1:
+        stages_.emplace_back(std::vector<std::uint8_t>(width, 0));
+        break;
+      case 2:
+        stages_.emplace_back(std::vector<std::uint16_t>(width, 0));
+        break;
+      default:
+        stages_.emplace_back(std::vector<std::uint32_t>(width, 0));
+        break;
+    }
     counting_max_[l - 1] =
         common::checked_narrow<std::uint32_t>(config_.counting_max(l));
     marker_[l - 1] = counting_max_[l - 1] + 1;
@@ -29,30 +42,36 @@ std::uint64_t FcmTree::add_at(std::size_t index, std::uint64_t count) {
   const std::size_t levels = stages_.size();
 
   for (std::size_t l = 0; l < levels; ++l) {
-    auto& node = stages_[l][index];
     const std::uint64_t cap = counting_max_[l];
     const std::uint64_t mark = marker_[l];
-
-    if (node == mark) {
-      // Already overflowed: everything carries forward (Algorithm 1 skips
-      // the increment and recurses).
-      estimate += cap;
-    } else {
-      const std::uint64_t room = cap - node;
-      if (carry <= room) {
-        node = common::checked_narrow<std::uint32_t>(node + carry);
-        estimate += node;
-        return estimate;
-      }
-      // The increments fill the node and trip the overflow marker; the
-      // remainder (including the tripping increment) carries forward.
-      carry -= room;
-      node = common::checked_narrow<std::uint32_t>(mark);
-      estimate += cap;
-      ++promotions_;  // observability: a fresh overflow promotion
-    }
-    if (l + 1 == levels) {
-      // Final stage has no parent; counts beyond its range are lost
+    // True once the carry settles in this level's node.
+    const bool settled = std::visit(
+        [&](auto& nodes) {
+          using T = typename std::decay_t<decltype(nodes)>::value_type;
+          T& node = nodes[index];
+          if (node == mark) {
+            // Already overflowed: everything carries forward (Algorithm 1
+            // skips the increment and recurses).
+            estimate += cap;
+            return false;
+          }
+          const std::uint64_t room = cap - node;
+          if (carry <= room) {
+            node = common::checked_narrow<T>(node + carry);
+            estimate += node;
+            return true;
+          }
+          // The increments fill the node and trip the overflow marker; the
+          // remainder (including the tripping increment) carries forward.
+          carry -= room;
+          node = common::checked_narrow<T>(mark);
+          estimate += cap;
+          ++promotions_;  // observability: a fresh overflow promotion
+          return false;
+        },
+        stages_[l]);
+    if (settled || l + 1 == levels) {
+      // The final stage has no parent; counts beyond its range are lost
       // (unreachable with 32-bit roots in practice).
       return estimate;
     }
@@ -61,6 +80,19 @@ std::uint64_t FcmTree::add_at(std::size_t index, std::uint64_t count) {
   return estimate;
 }
 
+namespace {
+
+// Requests the level-1 counter line of every index in `idx` for writing;
+// the stride is the stage's element width.
+template <typename T>
+void prefetch_level1(const std::vector<T>& level1,
+                     std::span<const std::uint32_t> idx) noexcept {
+  const T* const base = level1.data();
+  for (const std::uint32_t i : idx) FCM_PREFETCH_WRITE(base + i);
+}
+
+}  // namespace
+
 void FcmTree::index_block(std::span<const flow::FlowKey> keys,
                           std::span<std::uint32_t> idx) const noexcept {
   // One tight inline loop of hashes + fast-range reductions (32-bit in and
@@ -68,35 +100,47 @@ void FcmTree::index_block(std::span<const flow::FlowKey> keys,
   hash_.index_batch(keys, config_.leaf_count, idx);
   // ... then request every level-1 counter line of the block up front, so
   // the misses overlap each other and whatever work runs before the apply.
-  const std::uint32_t* const level1 = stages_[0].data();
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    FCM_PREFETCH_WRITE(level1 + idx[i]);
-  }
+  std::visit([&](const auto& level1) { prefetch_level1(level1, idx); },
+             stages_[0]);
 }
 
 void FcmTree::index_block_hashes(std::span<const flow::FlowKey> keys,
                                  std::span<std::uint32_t> idx,
                                  std::span<std::uint32_t> raw) const noexcept {
   hash_.index_hash_batch(keys, config_.leaf_count, idx, raw);
-  const std::uint32_t* const level1 = stages_[0].data();
-  for (std::size_t i = 0; i < keys.size(); ++i) {
-    FCM_PREFETCH_WRITE(level1 + idx[i]);
-  }
+  std::visit([&](const auto& level1) { prefetch_level1(level1, idx); },
+             stages_[0]);
 }
 
 void FcmTree::apply_block(std::span<const std::uint32_t> idx,
                           std::span<std::uint64_t> min_estimates) {
 #if FCM_SIMD_X86
-  // vpgatherdd reads indices as signed 32-bit; FcmConfig stage widths are
-  // far below 2^31, but gate explicitly so the contract is in the code.
+  // The AVX2 body gathers dwords, so it serves a 4-byte level 1 only; a
+  // byte or word level 1 takes the scalar loop, whose narrower lines cost
+  // less than the gather saves. vpgatherdd reads indices as signed 32-bit;
+  // FcmConfig stage widths are far below 2^31, but gate explicitly so the
+  // contract is in the code.
   if (common::simd::active_kernel_tier() == common::simd::KernelTier::kAvx2 &&
-      stages_[0].size() < (std::size_t{1} << 31)) {
+      config_.stage_bytes(1) == 4 &&
+      config_.leaf_count < (std::size_t{1} << 31)) {
     apply_block_avx2(idx, min_estimates);
     return;
   }
 #endif
-  std::uint32_t* const level1 = stages_[0].data();
-  const std::uint32_t cap = counting_max_[0];
+  std::visit(
+      [&](auto& level1) {
+        apply_block_scalar(std::span(level1), idx, min_estimates);
+      },
+      stages_[0]);
+}
+
+template <typename T>
+void FcmTree::apply_block_scalar(std::span<T> level1_nodes,
+                                 std::span<const std::uint32_t> idx,
+                                 std::span<std::uint64_t> min_estimates) {
+  T* const level1 = level1_nodes.data();
+  // The counting max fits T: it is one below the marker, which does.
+  const T cap = common::checked_narrow<T>(counting_max_[0]);
   const std::size_t n = idx.size();
   // Apply in key order. Carries must not be reordered (a node's trip into
   // overflow is observed by later duplicates in the block), so only the
@@ -105,7 +149,7 @@ void FcmTree::apply_block(std::span<const std::uint32_t> idx,
     // No estimate consumer (heavy-hitter tracking off): the fast path is a
     // bare increment with no value materialization or min bookkeeping.
     for (std::size_t i = 0; i < n; ++i) {
-      std::uint32_t& node = level1[idx[i]];
+      T& node = level1[idx[i]];
       if (node < cap) {
         // Fast path: below the counting max, so a single increment neither
         // saturates nor carries — the overwhelming common case (level 1
@@ -120,7 +164,7 @@ void FcmTree::apply_block(std::span<const std::uint32_t> idx,
     return;
   }
   for (std::size_t i = 0; i < n; ++i) {
-    std::uint32_t& node = level1[idx[i]];
+    T& node = level1[idx[i]];
     std::uint64_t estimate;
     if (node < cap) {
       estimate = ++node;
@@ -135,7 +179,8 @@ void FcmTree::apply_block(std::span<const std::uint32_t> idx,
 #if FCM_SIMD_X86
 void FcmTree::apply_block_avx2(std::span<const std::uint32_t> idx,
                                std::span<std::uint64_t> min_estimates) {
-  std::uint32_t* const level1 = stages_[0].data();
+  std::uint32_t* const level1 =
+      std::get<std::vector<std::uint32_t>>(stages_[0]).data();
   const std::uint32_t cap = counting_max_[0];
   const std::size_t n = idx.size();
   // The kernel consumes leading groups of 8 that are entirely on the fast
@@ -235,7 +280,7 @@ std::uint64_t FcmTree::query_at(std::size_t index) const noexcept {
   std::uint64_t estimate = 0;
   const std::size_t levels = stages_.size();
   for (std::size_t l = 0; l < levels; ++l) {
-    const std::uint32_t node = stages_[l][index];
+    const std::uint32_t node = node_value(l, index);
     if (node != marker_[l]) {
       return estimate + node;
     }
@@ -259,9 +304,8 @@ constexpr std::size_t kRunLanes = 64;
 // accumulates each block's excess at its parent (nullptr at the root, where
 // the serial tree drops it too). Returns the nodes that trip into overflow
 // only here, in the merge.
-template <bool kPromoted>
-std::uint64_t merge_exact(std::span<std::uint32_t> a,
-                          std::span<const std::uint32_t> b,
+template <bool kPromoted, typename T>
+std::uint64_t merge_exact(std::span<T> a, std::span<const T> b,
                           const std::uint64_t* in, std::uint64_t* out,
                           std::size_t k, std::uint32_t cap, std::size_t begin,
                           std::size_t end) {
@@ -287,13 +331,13 @@ std::uint64_t merge_exact(std::span<std::uint32_t> a,
         FCM_ASSERT(sum >= cap,
                    "FcmTree::merge: overflowed node with sum below capacity");
         excess += sum - cap;
-        a[i] = mark;
+        a[i] = common::checked_narrow<T>(mark);
         // Observability: a node neither input had tripped overflows only
         // now, in the merge — count the fresh promotion (trips either input
         // already performed arrive via the promotions_ sum).
         if (!shard_overflowed) ++fresh;
       } else {
-        a[i] = common::checked_narrow<std::uint32_t>(sum);
+        a[i] = common::checked_narrow<T>(sum);
       }
     }
     if (out != nullptr) out[base / k] += excess;
@@ -305,22 +349,30 @@ std::uint64_t merge_exact(std::span<std::uint32_t> a,
 // satisfies in + a + b <= cap, no node can overflow or promote, so the
 // lanes are summed with no branch and true is returned; otherwise nothing
 // is written. The lanes are copied to locals first: they cannot alias `a`,
-// so the check and the sum vectorize without run-time overlap tests.
-template <bool kPromoted>
-bool add_if_clean(std::span<std::uint32_t> a, std::span<const std::uint32_t> b,
+// so the check and the sum vectorize without run-time overlap tests, at
+// T's own width.
+template <bool kPromoted, typename T>
+bool add_if_clean(std::span<T> a, std::span<const T> b,
                   const std::uint64_t* in, std::size_t base,
                   std::uint32_t cap) noexcept {
-  std::uint32_t la[kRunLanes];
-  std::uint32_t lb[kRunLanes];
+  // The counting max is one below the marker, which fits T.
+  const T tcap = common::checked_narrow<T>(cap);
+  T la[kRunLanes];
+  T lb[kRunLanes];
+  T sum[kRunLanes];
   for (std::size_t j = 0; j < kRunLanes; ++j) {
     la[j] = a[base + j];
     lb[j] = b[base + j];
   }
-  // b <= cap keeps cap - b from wrapping, so each test is exact in 32 bits;
-  // an overflow marker in either operand fails it.
-  std::uint32_t dirty = 0;
+  // Each sum is taken modulo 2^(8 sizeof(T)): it is exact iff it did not
+  // wrap (sum >= a), and an exact sum <= cap also rules out an overflow
+  // marker in either operand, since the marker exceeds cap.
+  // The flag accumulates in T as well: a wider (or bool) accumulator would
+  // widen every lane of the loop.
+  T dirty = 0;
   for (std::size_t j = 0; j < kRunLanes; ++j) {
-    dirty |= (lb[j] > cap) | (la[j] > cap - lb[j]);
+    sum[j] = la[j] + lb[j];
+    dirty |= (sum[j] < la[j]) | (sum[j] > tcap);
   }
   if (dirty != 0) return false;
   if constexpr (kPromoted) {
@@ -330,16 +382,15 @@ bool add_if_clean(std::span<std::uint32_t> a, std::span<const std::uint32_t> b,
     for (std::size_t j = 0; j < kRunLanes; ++j) any_in |= in[base + j];
     if (any_in != 0) {
       for (std::size_t j = 0; j < kRunLanes; ++j) {
-        if (in[base + j] > cap - lb[j] - la[j]) return false;
+        if (in[base + j] > std::uint64_t{tcap} - sum[j]) return false;
       }
       for (std::size_t j = 0; j < kRunLanes; ++j) {
-        a[base + j] = common::checked_narrow<std::uint32_t>(in[base + j] +
-                                                            la[j] + lb[j]);
+        a[base + j] = common::checked_narrow<T>(in[base + j] + sum[j]);
       }
       return true;
     }
   }
-  for (std::size_t j = 0; j < kRunLanes; ++j) a[base + j] = la[j] + lb[j];
+  for (std::size_t j = 0; j < kRunLanes; ++j) a[base + j] = sum[j];
   return true;
 }
 
@@ -347,9 +398,8 @@ bool add_if_clean(std::span<std::uint32_t> a, std::span<const std::uint32_t> b,
 // walked in runs of kRunLanes / k whole parent blocks: a clean run takes
 // the fast path, any other run the exact rule block by block. The tail
 // (and every block when k does not divide kRunLanes) takes the exact rule.
-template <bool kPromoted>
-std::uint64_t merge_level(std::span<std::uint32_t> a,
-                          std::span<const std::uint32_t> b,
+template <bool kPromoted, typename T>
+std::uint64_t merge_level(std::span<T> a, std::span<const T> b,
                           const std::uint64_t* in, std::uint64_t* out,
                           std::size_t k, std::uint32_t cap) {
   const std::size_t fast_end =
@@ -383,14 +433,21 @@ void FcmTree::merge(const FcmTree& other) {
   promotions_ += other.promotions_;
   for (std::size_t l = 0; l < levels; ++l) {
     const bool has_parent = l + 1 < levels;
-    next.assign(has_parent ? stages_[l + 1].size() : 0, 0);
+    next.assign(has_parent ? config_.width(l + 2) : 0, 0);
     std::uint64_t* const out = has_parent ? next.data() : nullptr;
-    promotions_ +=
-        l == 0 ? merge_level<false>(stages_[l], other.stages_[l], nullptr,
-                                    out, config_.k, counting_max_[l])
-               : merge_level<true>(stages_[l], other.stages_[l],
-                                   promoted.data(), out, config_.k,
-                                   counting_max_[l]);
+    // Equal configs give both trees the same element type at every level.
+    std::visit(
+        [&](auto& nodes) {
+          using Nodes = std::decay_t<decltype(nodes)>;
+          const std::span a(nodes);
+          const std::span b(std::as_const(std::get<Nodes>(other.stages_[l])));
+          promotions_ +=
+              l == 0 ? merge_level<false>(a, b, nullptr, out, config_.k,
+                                          counting_max_[l])
+                     : merge_level<true>(a, b, promoted.data(), out,
+                                         config_.k, counting_max_[l]);
+        },
+        stages_[l]);
     promoted.swap(next);
   }
   FCM_CHECKED_ONLY(check_invariants());
@@ -398,26 +455,50 @@ void FcmTree::merge(const FcmTree& other) {
 
 std::uint64_t FcmTree::node_count(std::size_t stage_1based,
                                   std::size_t index) const noexcept {
-  const std::uint32_t v = stages_[stage_1based - 1][index];
+  const std::uint32_t v = node_value(stage_1based - 1, index);
   return std::min<std::uint64_t>(v, counting_max_[stage_1based - 1]);
 }
 
 bool FcmTree::node_overflowed(std::size_t stage_1based,
                               std::size_t index) const noexcept {
-  return stages_[stage_1based - 1][index] == marker_[stage_1based - 1];
+  return node_value(stage_1based - 1, index) == marker_[stage_1based - 1];
 }
 
+namespace {
+
+// Zero-valued nodes of one stage. A run's tally (at most kRunLanes) fits
+// T, so the compare-and-add loop stays at the element width; std::count's
+// 64-bit tally would widen every lane.
+template <typename T>
+std::size_t count_zeros(std::span<const T> nodes) noexcept {
+  std::size_t zeros = 0;
+  const std::size_t runs_end = nodes.size() - nodes.size() % kRunLanes;
+  for (std::size_t base = 0; base < runs_end; base += kRunLanes) {
+    T run = 0;
+    for (std::size_t j = 0; j < kRunLanes; ++j) run += nodes[base + j] == 0;
+    zeros += run;
+  }
+  for (std::size_t i = runs_end; i < nodes.size(); ++i) zeros += nodes[i] == 0;
+  return zeros;
+}
+
+}  // namespace
+
 std::size_t FcmTree::empty_leaf_count() const noexcept {
-  return static_cast<std::size_t>(
-      std::count(stages_[0].begin(), stages_[0].end(), 0u));
+  return std::visit(
+      [](const auto& level1) { return count_zeros(std::span(level1)); },
+      stages_[0]);
 }
 
 std::uint64_t FcmTree::total_count() const noexcept {
   std::uint64_t total = 0;
   for (std::size_t l = 0; l < stages_.size(); ++l) {
-    for (const std::uint32_t v : stages_[l]) {
-      total += std::min<std::uint64_t>(v, counting_max_[l]);
-    }
+    const std::uint64_t cap = counting_max_[l];
+    std::visit(
+        [&](const auto& nodes) {
+          for (const auto v : nodes) total += std::min<std::uint64_t>(v, cap);
+        },
+        stages_[l]);
   }
   return total;
 }
@@ -430,16 +511,16 @@ namespace {
 // one of its k children is at the marker (Figure 3: the tripping increment
 // always lands in the parent, and a non-leaf node only receives counts via
 // child overflow).
-void assert_blocks(std::span<const std::uint32_t> children,
-                   std::span<const std::uint32_t> parents, std::size_t k,
-                   std::uint32_t mark, std::size_t stage, std::size_t first,
-                   std::size_t last) {
+template <typename C, typename P>
+void assert_blocks(std::span<const C> children, std::span<const P> parents,
+                   std::size_t k, std::uint32_t mark, std::size_t stage,
+                   std::size_t first, std::size_t last) {
   for (std::size_t p = first; p < last; ++p) {
     bool overflowed_child = false;
     std::uint32_t widest = 0;
     for (std::size_t c = p * k; c < (p + 1) * k; ++c) {
       overflowed_child |= children[c] == mark;
-      widest = std::max(widest, children[c]);
+      widest = std::max<std::uint32_t>(widest, children[c]);
     }
     FCM_ASSERT(widest <= mark,
                "FcmTree: node value exceeds its bit width at stage " +
@@ -460,24 +541,27 @@ void assert_blocks(std::span<const std::uint32_t> children,
 // holding a count passes once its children fit the marker, which is all
 // ones (2^b - 1), so their bitwise OR fits it too. Other runs, and the
 // tail, take the per-block test.
-void assert_level(std::span<const std::uint32_t> children,
-                  std::span<const std::uint32_t> parents, std::size_t k,
-                  std::uint32_t mark, std::size_t stage) {
+template <typename C, typename P>
+void assert_level(std::span<const C> children, std::span<const P> parents,
+                  std::size_t k, std::uint32_t mark, std::size_t stage) {
   const std::size_t run_parents = kRunLanes % k == 0 ? kRunLanes / k : 0;
   const std::size_t runs = run_parents != 0 ? parents.size() / run_parents : 0;
+  // The marker fits the children's type; the accumulators stay at the
+  // element widths so the run loops do not widen their lanes.
+  const C cmark = common::checked_narrow<C>(mark);
   for (std::size_t r = 0; r < runs; ++r) {
     const std::size_t base = r * kRunLanes;
-    std::uint32_t any_bits = 0;
-    std::uint32_t at_marker = 0;
+    C any_bits = 0;
+    C at_marker = 0;
     for (std::size_t j = 0; j < kRunLanes; ++j) {
       any_bits |= children[base + j];
-      at_marker |= children[base + j] == mark;
+      at_marker |= children[base + j] == cmark;
     }
-    std::uint32_t parent_bits = 0;
+    P parent_bits = 0;
     for (std::size_t p = r * run_parents; p < (r + 1) * run_parents; ++p) {
       parent_bits |= parents[p];
     }
-    if (any_bits > mark || (at_marker | parent_bits) != 0) {
+    if (any_bits > cmark || (at_marker | parent_bits) != 0) {
       assert_blocks(children, parents, k, mark, stage, r * run_parents,
                     (r + 1) * run_parents);
     }
@@ -495,7 +579,7 @@ void FcmTree::check_invariants() const {
   FCM_ASSERT(counting_max_.size() == levels && marker_.size() == levels,
              "FcmTree: cached per-stage limits diverged from config");
   for (std::size_t l = 0; l < levels; ++l) {
-    FCM_ASSERT(stages_[l].size() == config_.width(l + 1),
+    FCM_ASSERT(stage(l + 1).size() == config_.width(l + 1),
                "FcmTree: stage " + std::to_string(l + 1) +
                    " width diverged from config");
     FCM_ASSERT(marker_[l] == counting_max_[l] + 1,
@@ -505,17 +589,30 @@ void FcmTree::check_invariants() const {
   // One pass per level over its parent blocks of k children; the root has
   // no parent and is checked for its bit width alone.
   for (std::size_t l = 0; l + 1 < levels; ++l) {
-    assert_level(stages_[l], stages_[l + 1], config_.k, marker_[l], l + 1);
+    std::visit(
+        [&](const auto& children, const auto& parents) {
+          assert_level(std::span(children), std::span(parents), config_.k,
+                       marker_[l], l + 1);
+        },
+        stages_[l], stages_[l + 1]);
   }
-  for (std::size_t i = 0; i < stages_.back().size(); ++i) {
-    FCM_ASSERT(stages_.back()[i] <= marker_.back(),
+  const auto root = stage(levels);
+  for (std::size_t i = 0; i < root.size(); ++i) {
+    FCM_ASSERT(root[i] <= marker_.back(),
                "FcmTree: node value exceeds its bit width at stage " +
                    std::to_string(levels) + " index " + std::to_string(i));
   }
 }
 
 void FcmTree::clear() noexcept {
-  for (auto& stage : stages_) std::fill(stage.begin(), stage.end(), 0u);
+  for (StageArray& nodes : stages_) {
+    std::visit(
+        [](auto& v) {
+          using T = typename std::decay_t<decltype(v)>::value_type;
+          std::fill(v.begin(), v.end(), T{0});
+        },
+        nodes);
+  }
   promotions_ = 0;
 }
 

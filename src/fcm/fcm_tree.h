@@ -1,14 +1,18 @@
 // A single k-ary FCM tree (paper §3.1–3.2).
 //
-// Stage l holds width(l) nodes of b_l bits. A node stores values
+// Stage l holds width(l) nodes of b_l bits, stored at the register width
+// FcmConfig::stage_bytes(l) (1, 2 or 4 bytes per node). A node stores values
 // 0..2^b_l - 2 directly; the all-ones value 2^b_l - 1 means "count saturated
 // at 2^b_l - 2 and increments have been carried to the parent" (Figure 3).
 // Update feeds increments forward (Algorithm 1); count-query sums capped
 // values along the path until the first non-overflowed node.
 #pragma once
 
+#include <cstddef>
 #include <cstdint>
+#include <ranges>
 #include <span>
+#include <variant>
 #include <vector>
 
 #include "common/hash.h"
@@ -108,9 +112,18 @@ class FcmTree {
   }
 
   // Raw stored node values at stage l (1-based): 2^b-1 entries are overflow
-  // markers. Used by the control-plane conversion algorithm.
-  std::span<const std::uint32_t> stage(std::size_t stage_1based) const noexcept {
-    return stages_[stage_1based - 1];
+  // markers. Used by the control-plane conversion algorithm. A read-only,
+  // random-access view that reads each node as a uint32_t whatever the
+  // stage's register width; it reads the tree's own array, so it is valid
+  // while the tree is alive and its geometry unchanged.
+  auto stage(std::size_t stage_1based) const noexcept {
+    const std::size_t level = stage_1based - 1;
+    const std::size_t width =
+        std::visit([](const auto& v) { return v.size(); }, stages_[level]);
+    return std::views::iota(std::size_t{0}, width) |
+           std::views::transform([this, level](std::size_t i) {
+             return node_value(level, i);
+           });
   }
 
   // The count a node contributes locally: min(value, 2^b - 2).
@@ -157,16 +170,38 @@ class FcmTree {
  private:
   friend class ::fcm::agg::WireCodec;
 
-  // AVX2 body of apply_block (kernel tier kAvx2 only): groups of 8 run
-  // through common::simd::avx2_apply_saturating; any group with an at-cap
-  // lane or intra-group duplicate index is re-applied by the scalar loop in
-  // exact key order, so carries and promotions stay bit-identical.
+  // One stage's nodes at its register width (FcmConfig::stage_bytes). Every
+  // loop over a stage is instantiated per element type and dispatched once
+  // per stage, never per node.
+  using StageArray =
+      std::variant<std::vector<std::uint8_t>, std::vector<std::uint16_t>,
+                   std::vector<std::uint32_t>>;
+
+  // Stored value of node `index` at 0-based level `level`, as a uint32_t.
+  std::uint32_t node_value(std::size_t level,
+                           std::size_t index) const noexcept {
+    return std::visit(
+        [index](const auto& nodes) -> std::uint32_t { return nodes[index]; },
+        stages_[level]);
+  }
+
+  // Scalar body of apply_block over a level 1 of element type T.
+  template <typename T>
+  void apply_block_scalar(std::span<T> level1,
+                          std::span<const std::uint32_t> idx,
+                          std::span<std::uint64_t> min_estimates);
+
+  // AVX2 body of apply_block (kernel tier kAvx2, 4-byte level 1 only):
+  // groups of 8 run through common::simd::avx2_apply_saturating; any group
+  // with an at-cap lane or intra-group duplicate index is re-applied by the
+  // scalar loop in exact key order, so carries and promotions stay
+  // bit-identical.
   void apply_block_avx2(std::span<const std::uint32_t> idx,
                         std::span<std::uint64_t> min_estimates);
 
   FcmConfig config_;
   common::SeededHash hash_;
-  std::vector<std::vector<std::uint32_t>> stages_;
+  std::vector<StageArray> stages_;
   // Per-stage cached limits, so the hot path avoids recomputing shifts.
   std::vector<std::uint32_t> counting_max_;
   std::vector<std::uint32_t> marker_;

@@ -34,6 +34,37 @@ inline core::FcmConfig small_fcm_config(std::uint64_t seed) {
   return config;
 }
 
+// Geometries whose stages land on every storage width FcmTree uses
+// (FcmConfig::stage_bytes: 1, 2 or 4 bytes per node), bit counts that are
+// not byte multiples included: {6,12,24} is stored in 1/2/4 bytes,
+// {8,16,32} in 1/2/4, {10,20} in 2/4 and {20,32} in 4/4. 1024 leaves under
+// k = 4, so a few thousand packets over a few hundred flows overflow the
+// narrow leaves.
+inline std::vector<core::FcmConfig> storage_width_configs(std::uint64_t seed) {
+  std::vector<core::FcmConfig> configs;
+  for (const std::vector<unsigned>& bits :
+       {std::vector<unsigned>{6, 12, 24}, std::vector<unsigned>{8, 16, 32},
+        std::vector<unsigned>{10, 20}, std::vector<unsigned>{20, 32}}) {
+    core::FcmConfig config;
+    config.tree_count = 2;
+    config.k = 4;
+    config.stage_bits = bits;
+    config.leaf_count = 1024;
+    config.seed = seed;
+    configs.push_back(config);
+  }
+  return configs;
+}
+
+// "{6,12,24}"-style label for SCOPED_TRACE.
+inline std::string stage_bits_label(const core::FcmConfig& config) {
+  std::string label = "{";
+  for (std::size_t l = 0; l < config.stage_bits.size(); ++l) {
+    label += (l == 0 ? "" : ",") + std::to_string(config.stage_bits[l]);
+  }
+  return label + "}";
+}
+
 inline core::FcmTopK::Config small_topk_config(std::uint64_t seed) {
   core::FcmTopK::Config config;
   config.fcm = small_fcm_config(seed);

@@ -23,6 +23,7 @@
 #include <limits>
 #include <random>
 #include <span>
+#include <string>
 #include <vector>
 
 #include "common/hash.h"
@@ -33,6 +34,7 @@
 #include "flow/flow_key.h"
 #include "flow/packet.h"
 #include "framework/fcm_framework.h"
+#include "property_harness.h"
 #include "runtime/sharded_framework.h"
 #include "sketch/cardinality.h"
 #include "sketch/cm_sketch.h"
@@ -63,6 +65,15 @@ FcmConfig small_config() {
   config.stage_bits = {8, 16, 32};
   config.leaf_count = 2048;
   config.seed = 0x5555aaaa;
+  return config;
+}
+
+// small_config() with a 4-byte level 1 (17-bit leaves): the apply_block
+// geometry the AVX2 body serves. small_config's byte-wide leaves take the
+// scalar apply on every tier, so the dispatch matrix runs both.
+FcmConfig dword_leaf_config() {
+  FcmConfig config = small_config();
+  config.stage_bits = {17, 32};
   return config;
 }
 
@@ -543,133 +554,244 @@ TEST(DispatchMatrix, HashBatchMatchesScalarOperator) {
 }
 
 TEST(DispatchMatrix, TreeBatchBitExactAcrossTiers) {
-  for (const KernelTier tier : equivalence_tiers()) {
-    ForcedTier forced(tier);
-    for (const std::size_t n : kMatrixSizes) {
-      // Dup-heavy skew: plenty of repeated keys inside single 8-lane groups,
-      // so the AVX2 duplicate-detect bailout runs on real collisions.
-      const auto keys = skewed_keys(n, 42 + n);
-      FcmTree scalar(small_config(), fcm::common::SeededHash(0xabc));
-      FcmTree batched(small_config(), fcm::common::SeededHash(0xabc));
+  for (const FcmConfig& config : {small_config(), dword_leaf_config()}) {
+    SCOPED_TRACE(fcm::proptest::stage_bits_label(config));
+    for (const KernelTier tier : equivalence_tiers()) {
+      ForcedTier forced(tier);
+      for (const std::size_t n : kMatrixSizes) {
+        // Dup-heavy skew: plenty of repeated keys inside single 8-lane
+        // groups, so on the 4-byte level 1 the AVX2 duplicate-detect
+        // bailout runs on real collisions.
+        const auto keys = skewed_keys(n, 42 + n);
+        FcmTree scalar(config, fcm::common::SeededHash(0xabc));
+        FcmTree batched(config, fcm::common::SeededHash(0xabc));
 
-      std::vector<std::uint64_t> scalar_estimates;
-      scalar_estimates.reserve(n);
-      for (const FlowKey key : keys) scalar_estimates.push_back(scalar.add(key));
-
-      std::vector<std::uint64_t> batch_estimates(
-          n, std::numeric_limits<std::uint64_t>::max());
-      batched.add_batch(std::span<const FlowKey>(keys),
-                        std::span<std::uint64_t>(batch_estimates));
-
-      for (std::size_t l = 1; l <= small_config().stage_count(); ++l) {
-        const auto sa = scalar.stage(l);
-        const auto sb = batched.stage(l);
-        for (std::size_t i = 0; i < sa.size(); ++i) {
-          ASSERT_EQ(sa[i], sb[i])
-              << "tier " << fcm::common::simd::kernel_tier_name(tier)
-              << " n=" << n << " stage " << l << " node " << i;
+        std::vector<std::uint64_t> scalar_estimates;
+        scalar_estimates.reserve(n);
+        for (const FlowKey key : keys) {
+          scalar_estimates.push_back(scalar.add(key));
         }
-      }
-      EXPECT_EQ(scalar.overflow_promotion_count(),
-                batched.overflow_promotion_count());
-      for (std::size_t i = 0; i < n; ++i) {
-        ASSERT_EQ(batch_estimates[i], scalar_estimates[i])
-            << "tier " << fcm::common::simd::kernel_tier_name(tier)
-            << " n=" << n << " i=" << i;
+
+        std::vector<std::uint64_t> batch_estimates(
+            n, std::numeric_limits<std::uint64_t>::max());
+        batched.add_batch(std::span<const FlowKey>(keys),
+                          std::span<std::uint64_t>(batch_estimates));
+
+        for (std::size_t l = 1; l <= config.stage_count(); ++l) {
+          const auto sa = scalar.stage(l);
+          const auto sb = batched.stage(l);
+          for (std::size_t i = 0; i < sa.size(); ++i) {
+            ASSERT_EQ(sa[i], sb[i])
+                << "tier " << fcm::common::simd::kernel_tier_name(tier)
+                << " n=" << n << " stage " << l << " node " << i;
+          }
+        }
+        EXPECT_EQ(scalar.overflow_promotion_count(),
+                  batched.overflow_promotion_count());
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(batch_estimates[i], scalar_estimates[i])
+              << "tier " << fcm::common::simd::kernel_tier_name(tier)
+              << " n=" << n << " i=" << i;
+        }
       }
     }
   }
 }
 
 TEST(DispatchMatrix, TreeOverflowLaneFallbackAcrossTiers) {
-  // A 4-bit leaf stage (counting max 14) over 64 leaves: most groups of 8
-  // contain at-cap lanes after a few hundred adds, so the AVX2 kernel's
-  // partial-consume + scalar-resume protocol runs constantly, interleaved
-  // with add_at carry walks. Promotions must land in the SAME key positions
-  // as the scalar path — any lane-order slip shows up in the estimates.
-  FcmConfig config;
-  config.tree_count = 2;
-  config.k = 8;
-  config.stage_bits = {4, 8, 32};
-  config.leaf_count = 64;
-  config.seed = 0x1234;
+  // Most groups of 8 contain at-cap lanes, interleaved with add_at carry
+  // walks, on two level-1 widths over 64 leaves:
+  //  - {4,8,32}: a 4-bit byte level 1 (counting max 14) fills after a few
+  //    hundred adds; the scalar apply runs on every tier.
+  //  - {17,32}: a 4-byte level 1, every touched leaf preloaded to 8..71
+  //    below its counting max, so the AVX2 kernel's partial-consume +
+  //    scalar-resume protocol runs constantly.
+  // Promotions must land in the SAME key positions as the scalar path — any
+  // lane-order slip shows up in the estimates.
+  FcmConfig byte_leaves;
+  byte_leaves.tree_count = 2;
+  byte_leaves.k = 8;
+  byte_leaves.stage_bits = {4, 8, 32};
+  byte_leaves.leaf_count = 64;
+  byte_leaves.seed = 0x1234;
+  FcmConfig dword_leaves = byte_leaves;
+  dword_leaves.stage_bits = {17, 32};
 
-  for (const KernelTier tier : equivalence_tiers()) {
-    ForcedTier forced(tier);
-    const auto keys = skewed_keys(4000, 7, 512);
-    FcmTree scalar(config, fcm::common::SeededHash(0x55));
-    FcmTree batched(config, fcm::common::SeededHash(0x55));
+  for (const FcmConfig& config : {byte_leaves, dword_leaves}) {
+    SCOPED_TRACE(fcm::proptest::stage_bits_label(config));
+    const bool preload = config.stage_bytes(1) == 4;
+    for (const KernelTier tier : equivalence_tiers()) {
+      ForcedTier forced(tier);
+      const auto keys = skewed_keys(4000, 7, 512);
+      FcmTree scalar(config, fcm::common::SeededHash(0x55));
+      FcmTree batched(config, fcm::common::SeededHash(0x55));
+      if (preload) {
+        std::vector<bool> loaded(config.leaf_count, false);
+        for (const FlowKey key : keys) {
+          const std::size_t leaf = scalar.leaf_index(key);
+          if (loaded[leaf]) continue;
+          loaded[leaf] = true;
+          const std::uint64_t count = config.counting_max(1) - 8 - leaf % 64;
+          scalar.add(key, count);
+          batched.add(key, count);
+        }
+        ASSERT_EQ(scalar.overflow_promotion_count(), 0u);
+      }
 
-    std::vector<std::uint64_t> scalar_estimates;
-    for (const FlowKey key : keys) scalar_estimates.push_back(scalar.add(key));
-    std::vector<std::uint64_t> batch_estimates(
-        keys.size(), std::numeric_limits<std::uint64_t>::max());
-    batched.add_batch(std::span<const FlowKey>(keys),
-                      std::span<std::uint64_t>(batch_estimates));
+      std::vector<std::uint64_t> scalar_estimates;
+      for (const FlowKey key : keys) {
+        scalar_estimates.push_back(scalar.add(key));
+      }
+      std::vector<std::uint64_t> batch_estimates(
+          keys.size(), std::numeric_limits<std::uint64_t>::max());
+      batched.add_batch(std::span<const FlowKey>(keys),
+                        std::span<std::uint64_t>(batch_estimates));
 
-    // The point of the fixture: the overflow slow path actually ran.
-    ASSERT_GT(scalar.overflow_promotion_count(), 0u);
-    EXPECT_EQ(scalar.overflow_promotion_count(),
-              batched.overflow_promotion_count())
-        << "tier " << fcm::common::simd::kernel_tier_name(tier);
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      ASSERT_EQ(batch_estimates[i], scalar_estimates[i])
-          << "tier " << fcm::common::simd::kernel_tier_name(tier) << " i=" << i;
-    }
-    for (std::size_t l = 1; l <= config.stage_count(); ++l) {
-      const auto sa = scalar.stage(l);
-      const auto sb = batched.stage(l);
-      for (std::size_t i = 0; i < sa.size(); ++i) {
-        ASSERT_EQ(sa[i], sb[i]) << "stage " << l << " node " << i;
+      // The point of the fixture: the overflow slow path actually ran.
+      ASSERT_GT(scalar.overflow_promotion_count(), 0u);
+      EXPECT_EQ(scalar.overflow_promotion_count(),
+                batched.overflow_promotion_count())
+          << "tier " << fcm::common::simd::kernel_tier_name(tier);
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        ASSERT_EQ(batch_estimates[i], scalar_estimates[i])
+            << "tier " << fcm::common::simd::kernel_tier_name(tier)
+            << " i=" << i;
+      }
+      for (std::size_t l = 1; l <= config.stage_count(); ++l) {
+        const auto sa = scalar.stage(l);
+        const auto sb = batched.stage(l);
+        for (std::size_t i = 0; i < sa.size(); ++i) {
+          ASSERT_EQ(sa[i], sb[i]) << "stage " << l << " node " << i;
+        }
       }
     }
   }
 }
 
 TEST(DispatchMatrix, TreeDuplicateHeavyKeyAcrossTiers) {
-  // One key repeated 1000 times: every 8-lane group is all-duplicates, so
-  // the AVX2 kernel consumes nothing and the scalar-resume path does all the
-  // work — the degenerate worst case for the bailout protocol.
-  for (const KernelTier tier : equivalence_tiers()) {
-    ForcedTier forced(tier);
-    FcmTree scalar(small_config(), fcm::common::SeededHash(0x77));
-    FcmTree batched(small_config(), fcm::common::SeededHash(0x77));
-    const std::vector<FlowKey> keys(1000, FlowKey{0xdecafbad});
+  // One key repeated 1000 times: every 8-lane group is all-duplicates. On
+  // the 4-byte level 1 the AVX2 kernel consumes nothing and the
+  // scalar-resume path does all the work — the degenerate worst case for
+  // the bailout protocol; the byte level 1 overflows into its parent.
+  for (const FcmConfig& config : {small_config(), dword_leaf_config()}) {
+    SCOPED_TRACE(fcm::proptest::stage_bits_label(config));
+    for (const KernelTier tier : equivalence_tiers()) {
+      ForcedTier forced(tier);
+      FcmTree scalar(config, fcm::common::SeededHash(0x77));
+      FcmTree batched(config, fcm::common::SeededHash(0x77));
+      const std::vector<FlowKey> keys(1000, FlowKey{0xdecafbad});
 
-    std::vector<std::uint64_t> scalar_estimates;
-    for (const FlowKey key : keys) scalar_estimates.push_back(scalar.add(key));
-    std::vector<std::uint64_t> batch_estimates(
-        keys.size(), std::numeric_limits<std::uint64_t>::max());
-    batched.add_batch(std::span<const FlowKey>(keys),
-                      std::span<std::uint64_t>(batch_estimates));
+      std::vector<std::uint64_t> scalar_estimates;
+      for (const FlowKey key : keys) {
+        scalar_estimates.push_back(scalar.add(key));
+      }
+      std::vector<std::uint64_t> batch_estimates(
+          keys.size(), std::numeric_limits<std::uint64_t>::max());
+      batched.add_batch(std::span<const FlowKey>(keys),
+                        std::span<std::uint64_t>(batch_estimates));
 
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      ASSERT_EQ(batch_estimates[i], scalar_estimates[i])
-          << "tier " << fcm::common::simd::kernel_tier_name(tier) << " i=" << i;
+      for (std::size_t i = 0; i < keys.size(); ++i) {
+        ASSERT_EQ(batch_estimates[i], scalar_estimates[i])
+            << "tier " << fcm::common::simd::kernel_tier_name(tier)
+            << " i=" << i;
+      }
+      EXPECT_EQ(scalar.overflow_promotion_count(),
+                batched.overflow_promotion_count());
     }
-    EXPECT_EQ(scalar.overflow_promotion_count(),
-              batched.overflow_promotion_count());
   }
 }
 
 TEST(DispatchMatrix, SketchSplitBatchesAcrossTiers) {
-  for (const KernelTier tier : equivalence_tiers()) {
-    ForcedTier forced(tier);
-    const auto keys = skewed_keys(2144, 9);
-    FcmSketch scalar(small_config());
-    FcmSketch batched(small_config());
-    scalar.set_heavy_hitter_threshold(20);
-    batched.set_heavy_hitter_threshold(20);
-    for (const FlowKey key : keys) scalar.update(key);
+  for (const FcmConfig& config : {small_config(), dword_leaf_config()}) {
+    SCOPED_TRACE(fcm::proptest::stage_bits_label(config));
+    for (const KernelTier tier : equivalence_tiers()) {
+      ForcedTier forced(tier);
+      const auto keys = skewed_keys(2144, 9);
+      FcmSketch scalar(config);
+      FcmSketch batched(config);
+      scalar.set_heavy_hitter_threshold(20);
+      batched.set_heavy_hitter_threshold(20);
+      for (const FlowKey key : keys) scalar.update(key);
 
-    std::span<const FlowKey> rest(keys);
-    for (const std::size_t n : kMatrixSizes) {
-      batched.add_batch(rest.subspan(0, n));
-      rest = rest.subspan(n);
+      std::span<const FlowKey> rest(keys);
+      for (const std::size_t n : kMatrixSizes) {
+        batched.add_batch(rest.subspan(0, n));
+        rest = rest.subspan(n);
+      }
+      batched.add_batch(rest);
+
+      expect_sketch_identical(scalar, batched);
     }
-    batched.add_batch(rest);
+  }
+}
 
-    expect_sketch_identical(scalar, batched);
+TEST(DispatchMatrix, EveryStorageWidthBitExactAcrossTiers) {
+  // Level 1 stored in 1, 2 and 4 bytes per node (storage_width_configs):
+  // byte and word leaves take the scalar apply on every tier, dword leaves
+  // the AVX2 body where the CPU has it. The hottest keys start two below
+  // the leaf counting max, so the +1 stream trips leaves on every width,
+  // including the wide ones a few thousand packets would never fill.
+  for (const FcmConfig& config : fcm::proptest::storage_width_configs(0x51de)) {
+    const std::uint64_t near_cap = config.counting_max(1) - 2;
+    for (const KernelTier tier : equivalence_tiers()) {
+      ForcedTier forced(tier);
+      SCOPED_TRACE(fcm::proptest::stage_bits_label(config) + " tier " +
+                   std::string(fcm::common::simd::kernel_tier_name(tier)));
+      for (const std::size_t n : kMatrixSizes) {
+        const auto keys = skewed_keys(n, 91 + n, 512);
+        FcmTree scalar(config, fcm::common::SeededHash(0x99));
+        FcmTree batched(config, fcm::common::SeededHash(0x99));
+        for (std::size_t i = 0; i < std::min<std::size_t>(n, 16); ++i) {
+          scalar.add(keys[i], near_cap);
+          batched.add(keys[i], near_cap);
+        }
+
+        std::vector<std::uint64_t> scalar_estimates;
+        for (const FlowKey key : keys) {
+          scalar_estimates.push_back(scalar.add(key));
+        }
+        std::vector<std::uint64_t> batch_estimates(
+            n, std::numeric_limits<std::uint64_t>::max());
+        batched.add_batch(std::span<const FlowKey>(keys),
+                          std::span<std::uint64_t>(batch_estimates));
+
+        if (n == 1000) {
+          ASSERT_GT(scalar.overflow_promotion_count(), 0u);
+        }
+        EXPECT_EQ(scalar.overflow_promotion_count(),
+                  batched.overflow_promotion_count())
+            << "n=" << n;
+        for (std::size_t l = 1; l <= config.stage_count(); ++l) {
+          const auto sa = scalar.stage(l);
+          const auto sb = batched.stage(l);
+          ASSERT_EQ(sa.size(), sb.size());
+          for (std::size_t i = 0; i < sa.size(); ++i) {
+            ASSERT_EQ(sa[i], sb[i])
+                << "n=" << n << " stage " << l << " node " << i;
+          }
+        }
+        for (std::size_t i = 0; i < n; ++i) {
+          ASSERT_EQ(batch_estimates[i], scalar_estimates[i])
+              << "n=" << n << " i=" << i;
+        }
+      }
+
+      // The sketch pipelines index and apply across trees; split batches
+      // of every matrix size against per-packet updates.
+      const auto keys = skewed_keys(2144, 19, 512);
+      FcmSketch scalar(config);
+      FcmSketch batched(config);
+      scalar.set_heavy_hitter_threshold(20);
+      batched.set_heavy_hitter_threshold(20);
+      for (const FlowKey key : keys) scalar.update(key);
+      std::span<const FlowKey> rest(keys);
+      for (const std::size_t n : kMatrixSizes) {
+        batched.add_batch(rest.subspan(0, n));
+        rest = rest.subspan(n);
+      }
+      batched.add_batch(rest);
+      expect_sketch_identical(scalar, batched);
+    }
   }
 }
 

@@ -21,6 +21,7 @@
 #include "fcm/fcm_sketch.h"
 #include "fcm/fcm_topk.h"
 #include "flow/synthetic.h"
+#include "property_harness.h"
 #include "sketch/cm_sketch.h"
 
 namespace fcm {
@@ -142,6 +143,52 @@ TEST(FcmTreeMerge, BitExactVersusSerialThroughAllLevels) {
   EXPECT_EQ(shard_a.query(FlowKey{42'000'000}), serial.query(FlowKey{42'000'000}));
   EXPECT_EQ(shard_a.total_count(), serial.total_count());
   EXPECT_EQ(shard_a.empty_leaf_count(), serial.empty_leaf_count());
+}
+
+// Every stage storage width (storage_width_configs): N in {1,2,4,8} shards,
+// each flow's count split across all of them, merge bit-exact with one
+// tree fed every arrival. Most flows are small, so most 64-lane runs take
+// the clean fast path; every 40th is scaled to the leaf width so it
+// overflows its leaf on every config, and one jumbo path overflows level 2
+// (for the two-stage configs, the root, where the excess is dropped).
+TEST(FcmTreeMerge, EveryStorageWidthBitExactVersusSerial) {
+  for (const FcmConfig& config : proptest::storage_width_configs(0xb17e)) {
+    const auto hash = common::make_hash(config.seed, 0);
+    const std::uint64_t unit = config.counting_max(1) / 64 + 1;
+    const std::uint64_t jumbo =
+        config.counting_max(1) + config.counting_max(2) + 1000;
+    for (const std::size_t n : {1u, 2u, 4u, 8u}) {
+      SCOPED_TRACE(proptest::stage_bits_label(config) +
+                   ", N = " + std::to_string(n));
+      FcmTree serial(config, hash);
+      std::vector<FcmTree> shards(n, FcmTree(config, hash));
+      const auto arrive = [&](FlowKey key, std::uint64_t count) {
+        serial.add(key, count);
+        for (std::size_t s = 0; s < n; ++s) {
+          const std::uint64_t part = count / n + (s < count % n ? 1 : 0);
+          if (part > 0) shards[s].add(key, part);
+        }
+      };
+      for (std::uint32_t f = 1; f <= 600; ++f) {
+        arrive(FlowKey{f}, f % 40 == 0 ? f * unit : 1 + f % 5);
+      }
+      arrive(FlowKey{42'000'000}, jumbo);
+
+      FcmTree merged = shards[0];
+      for (std::size_t s = 1; s < n; ++s) merged.merge(shards[s]);
+      expect_same_tree_state(merged, serial);
+      merged.check_invariants();
+      ASSERT_GT(serial.overflow_promotion_count(), 0u);
+      EXPECT_TRUE(merged.node_overflowed(2, serial.leaf_index(
+                                                FlowKey{42'000'000}) /
+                                                config.k));
+      EXPECT_EQ(merged.total_count(), serial.total_count());
+      EXPECT_EQ(merged.empty_leaf_count(), serial.empty_leaf_count());
+      for (std::uint32_t f = 1; f <= 600; ++f) {
+        ASSERT_EQ(merged.query(FlowKey{f}), serial.query(FlowKey{f}));
+      }
+    }
+  }
 }
 
 // --- promotion tally --------------------------------------------------------

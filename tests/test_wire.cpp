@@ -298,6 +298,92 @@ TEST(WireGolden, SerializedBytesArePinned) {
   }
 }
 
+// Frames of every stage storage width (see storage_width_configs), pinned
+// the same way. The digests were recorded with the encoder that held every
+// stage as 32-bit words in memory, so they also pin that storing stages at
+// their register width left the frame bytes unchanged.
+struct WidthFixture {
+  core::FcmTree tree;
+  framework::FcmFramework framework;
+};
+
+WidthFixture width_fixture(const core::FcmConfig& config) {
+  framework::FcmFramework::Options options;
+  options.fcm = config;
+  options.heavy_hitter_threshold = 64;
+  options.metrics = nullptr;
+  WidthFixture fixture{core::FcmTree(config, common::make_hash(kSeed, 0)),
+                       framework::FcmFramework(options)};
+  for (const flow::FlowKey key : random_keys(kSeed, kTraceLength, kUniverse)) {
+    fixture.tree.add(key);
+    fixture.framework.process(key);
+  }
+  // Overflows level 1 and level 2 on one path.
+  const flow::FlowKey jumbo{0x0a0a0a0a};
+  const std::uint64_t big =
+      config.counting_max(1) + config.counting_max(2) + 1000;
+  fixture.tree.add(jumbo, big);
+  fixture.framework.process_weighted(jumbo, big);
+  return fixture;
+}
+
+TEST(WireGolden, EveryStorageWidthIsPinned) {
+  struct Pinned {
+    std::size_t tree_bytes;
+    std::uint64_t tree_digest;
+    std::size_t framework_bytes;
+    std::uint64_t framework_digest;
+  };
+  const Pinned pinned[] = {
+      {1856, 0x2cea14ad17a0753cull, 3919, 0xb72b854bfe7e9b5eull},
+      {1856, 0x98582506385cae27ull, 3919, 0x53b58459f5434de7ull},
+      {3135, 0x1fb89b52fa67c5beull, 6477, 0x7fb647e780053836ull},
+      {5183, 0xdde6b497fb5541c3ull, 10573, 0x291a11c42d7fa367ull},
+  };
+  const auto configs = proptest::storage_width_configs(kSeed);
+  ASSERT_EQ(configs.size(), std::size(pinned));
+  for (std::size_t c = 0; c < configs.size(); ++c) {
+    SCOPED_TRACE(proptest::stage_bits_label(configs[c]));
+    const WidthFixture fixture = width_fixture(configs[c]);
+    const std::vector<std::byte> tree = WireCodec::serialize(fixture.tree);
+    const std::vector<std::byte> fw = WireCodec::serialize(fixture.framework);
+    EXPECT_EQ(tree.size(), pinned[c].tree_bytes);
+    EXPECT_EQ(WireCodec::fingerprint_bytes(tree), pinned[c].tree_digest);
+    EXPECT_EQ(fw.size(), pinned[c].framework_bytes);
+    EXPECT_EQ(WireCodec::fingerprint_bytes(fw), pinned[c].framework_digest);
+  }
+}
+
+TEST(WireRoundTrip, EveryStorageWidthIsBitExact) {
+  for (const core::FcmConfig& config : proptest::storage_width_configs(kSeed)) {
+    SCOPED_TRACE(proptest::stage_bits_label(config));
+    const WidthFixture fixture = width_fixture(config);
+    ASSERT_GT(fixture.tree.overflow_promotion_count(), 0u);
+
+    const std::vector<std::byte> tree_wire = WireCodec::serialize(fixture.tree);
+    const core::FcmTree tree = WireCodec::deserialize_tree(tree_wire);
+    for (std::size_t l = 1; l <= config.stage_count(); ++l) {
+      EXPECT_TRUE(std::ranges::equal(tree.stage(l), fixture.tree.stage(l)))
+          << "stage " << l;
+    }
+    EXPECT_EQ(tree.overflow_promotion_count(),
+              fixture.tree.overflow_promotion_count());
+    EXPECT_EQ(WireCodec::serialize(tree), tree_wire);
+
+    const std::vector<std::byte> fw_wire =
+        WireCodec::serialize(fixture.framework);
+    const framework::FcmFramework fw =
+        WireCodec::deserialize_framework(fw_wire, nullptr);
+    for (std::uint32_t id = 0; id < kUniverse; ++id) {
+      ASSERT_EQ(fw.flow_size(flow::FlowKey{id}),
+                fixture.framework.flow_size(flow::FlowKey{id}))
+          << "key " << id;
+    }
+    EXPECT_EQ(fw.cardinality(), fixture.framework.cardinality());
+    EXPECT_EQ(WireCodec::serialize(fw), fw_wire);
+  }
+}
+
 // --- header / fingerprint semantics ----------------------------------------
 
 TEST(WireHeaderTest, PeekReportsTypeVersionFingerprint) {
@@ -443,7 +529,7 @@ std::size_t stage_offset(std::size_t tree0_offset,
                          const core::FcmConfig& config, std::size_t stage) {
   std::size_t offset = tree0_offset + 4 + 8;  // hash seed + promotions
   for (std::size_t l = 1; l < stage; ++l) {
-    offset += config.width(l) * (config.stage_bits[l - 1] <= 8 ? 1 : 2);
+    offset += config.width(l) * config.stage_bytes(l);
   }
   return offset;
 }
@@ -508,6 +594,59 @@ TEST(WireHostile, InvariantBreakingFramesThrowFromEveryEntryPoint) {
         ADD_FAILURE() << "forged frame decoded without a violation";
       } catch (const ContractViolation& violation) {
         EXPECT_NE(std::string(violation.what()).find("FcmTree:"),
+                  std::string::npos)
+            << violation.what();
+      }
+    }
+  }
+}
+
+// A 6-bit stage is stored in bytes, so a frame can carry 64..255 in one of
+// its nodes: a value that fits the storage type but not the stage's bit
+// width. The decode's range check must reject it from every entry point
+// that reads a tree, before any invariant sweep.
+TEST(WireHostile, ValueAboveMarkerInByteStageThrows) {
+  core::FcmConfig config = proptest::storage_width_configs(kSeed)[0];
+  ASSERT_EQ(config.stage_bits, (std::vector<unsigned>{6, 12, 24}));
+  ASSERT_EQ(config.stage_bytes(1), 1u);
+  const std::size_t config_bytes = 4 + 4 + 8 + 8 + 1 + config.stage_count();
+  framework::FcmFramework::Options options;
+  options.fcm = config;
+  options.metrics = nullptr;
+
+  struct Entry {
+    const char* name;
+    std::vector<std::byte> wire;
+    std::size_t tree0;
+    std::function<void(std::span<const std::byte>)> decode;
+  };
+  const Entry entries[] = {
+      {"deserialize_tree",
+       WireCodec::serialize(core::FcmTree(config, common::make_hash(kSeed, 0))),
+       24 + config_bytes,
+       [](std::span<const std::byte> b) {
+         (void)WireCodec::deserialize_tree(b);
+       }},
+      {"deserialize_framework",
+       WireCodec::serialize(framework::FcmFramework(options)),
+       24 + 1 + config_bytes + 8 + 8 + 1 + 4 * 8 + 4 + config_bytes,
+       [](std::span<const std::byte> b) {
+         (void)WireCodec::deserialize_framework(b, nullptr);
+       }},
+  };
+  for (const Entry& entry : entries) {
+    SCOPED_TRACE(entry.name);
+    ASSERT_NO_THROW(entry.decode(entry.wire));
+    const std::size_t leaf = stage_offset(entry.tree0, config, 1) + 5;
+    ASSERT_EQ(entry.wire[leaf], std::byte{0});
+    for (const unsigned value : {64u, 200u, 255u}) {
+      auto forged = entry.wire;
+      forged[leaf] = static_cast<std::byte>(value);
+      try {
+        entry.decode(forged);
+        ADD_FAILURE() << "value " << value << " decoded without a violation";
+      } catch (const ContractViolation& violation) {
+        EXPECT_NE(std::string(violation.what()).find("exceeds its stage bit"),
                   std::string::npos)
             << violation.what();
       }
