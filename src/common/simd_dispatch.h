@@ -10,8 +10,8 @@
 //   kAutovec  the PR-5 kernel: keys staged into the output array, then a
 //             uniform u32 -> u32 in-place loop the auto-vectorizer packs.
 //   kAvx2     hand-written 8-lane AVX2 (fcm_kernel_avx2.cpp): vectorized
-//             BobHash + Lemire fast-range, and a gather/compare/store level-1
-//             saturating-increment fast path for FcmTree::apply_block.
+//             BobHash + Lemire fast-range. The level-1 apply is scalar on
+//             every tier (FcmTree::apply_block).
 //
 // The tier is resolved once per process: FCM_FORCE_KERNEL=scalar|autovec|avx2
 // wins if set (an avx2 request on a CPU without AVX2 falls back to autovec),
@@ -86,24 +86,6 @@ void avx2_hash_batch_u32(const void* keys, std::size_t n, std::uint32_t seed,
 void avx2_index_batch_u32(const void* keys, std::size_t n, std::uint32_t seed,
                           std::uint32_t width, std::uint32_t* idx,
                           std::uint32_t* raw_hashes) noexcept;
-
-// Level-1 saturating-increment fast path: processes leading groups of 8
-// indices (gather counters, verify every lane < cap and no duplicate index
-// within the group, increment, store back) and returns how many indices it
-// consumed — always a multiple of 8, stopping at the first group with an
-// at-cap lane or an intra-group duplicate, or at the <8 tail. The caller
-// scalar-processes at most 8 entries (running the add_at carry walk for
-// overflowed lanes) and calls again, preserving exact per-key order so
-// promotion counts and counter state stay bit-identical to the scalar path.
-// When `new_values` is non-null the post-increment counter value of every
-// consumed index is stored at the matching offset (conservative-update
-// callers fold these into their running minima). Indices must be < 2^31
-// (vpgatherdd treats them as signed); FcmConfig keeps stage widths far below
-// that.
-std::size_t avx2_apply_saturating(std::uint32_t* level1,
-                                  const std::uint32_t* idx, std::size_t n,
-                                  std::uint32_t cap,
-                                  std::uint32_t* new_values) noexcept;
 #endif  // FCM_SIMD_X86
 
 }  // namespace fcm::common::simd

@@ -101,10 +101,8 @@ class PcapReader {
   RecordOutcome next_classic(RawRecord& out);
   RecordOutcome next_pcapng(RawRecord& out);
   bool parse_interface_block(ByteCursor body);
-  bool parse_enhanced_packet(ByteCursor body, std::size_t body_size,
-                             RawRecord& out);
-  bool parse_simple_packet(ByteCursor body, std::size_t body_size,
-                           RawRecord& out);
+  bool parse_enhanced_packet(ByteCursor body, RawRecord& out);
+  bool parse_simple_packet(ByteCursor body, RawRecord& out);
 
   ByteCursor cursor_;
   Format format_ = Format::kClassic;

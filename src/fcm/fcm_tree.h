@@ -185,19 +185,12 @@ class FcmTree {
         stages_[level]);
   }
 
-  // Scalar body of apply_block over a level 1 of element type T.
+  // Body of apply_block over a level 1 of element type T (every kernel
+  // tier; the tiers differ only in index_block).
   template <typename T>
   void apply_block_scalar(std::span<T> level1,
                           std::span<const std::uint32_t> idx,
                           std::span<std::uint64_t> min_estimates);
-
-  // AVX2 body of apply_block (kernel tier kAvx2, 4-byte level 1 only):
-  // groups of 8 run through common::simd::avx2_apply_saturating; any group
-  // with an at-cap lane or intra-group duplicate index is re-applied by the
-  // scalar loop in exact key order, so carries and promotions stay
-  // bit-identical.
-  void apply_block_avx2(std::span<const std::uint32_t> idx,
-                        std::span<std::uint64_t> min_estimates);
 
   FcmConfig config_;
   common::SeededHash hash_;

@@ -10,6 +10,8 @@
 
 #include <cstddef>
 #include <cstdint>
+#include <fstream>
+#include <iterator>
 #include <span>
 #include <string>
 #include <vector>
@@ -17,6 +19,7 @@
 #include "common/random.h"
 #include "datapath/capture_ingest.h"
 #include "datapath/packet_parser.h"
+#include "datapath/packet_parser_detail.h"
 #include "datapath/pcap_reader.h"
 #include "flow/flow_key.h"
 #include "obs/metrics_registry.h"
@@ -698,6 +701,69 @@ TEST(PacketParser, EveryPrefixOfAGoodFrameIsHandled) {
   }
 }
 
+// --- fast path ≡ generic walk ---------------------------------------------
+// parse_packet answers untagged Ethernet/IPv4 (IHL 5, first fragment) UDP
+// frames from one window; every answer must equal the generic walk's,
+// outcome and ParsedPacket alike, including for the near misses (TCP among
+// them) that must fall through to it.
+
+void expect_fast_path_matches_generic(const RawRecord& record) {
+  ParsedPacket fast;
+  ParsedPacket generic;
+  const ParseOutcome fast_outcome = parse_packet(record, fast);
+  const ParseOutcome generic_outcome =
+      datapath::detail::parse_packet_generic(record, generic);
+  ASSERT_EQ(fast_outcome, generic_outcome);
+  ASSERT_EQ(fast.tuple, generic.tuple);
+  ASSERT_EQ(fast.timestamp_ns, generic.timestamp_ns);
+  ASSERT_EQ(fast.wire_bytes, generic.wire_bytes);
+  ASSERT_EQ(fast.ip_version, generic.ip_version);
+}
+
+TEST(PacketParser, FastPathMatchesGenericWalk) {
+  const Bytes tcp = tcp_header(1111, 80);
+  const Bytes udp = udp_header(2222, 53, 8);
+  Bytes udp_with_payload = udp_header(3333, 443, 24);
+  for (int i = 0; i < 16; ++i) put8(udp_with_payload, 0x5a);
+  // The frames of EveryPrefixOfAGoodFrameIsHandled, then the near misses.
+  const std::vector<Bytes> frames = {
+      tcp4_frame(1, 2, 3, 4),
+      ethernet_frame(0x0800, ipv4_packet(1, 2, 17, udp_header(5, 6)), 2),
+      ethernet_frame(0x0800, ipv4_packet(5, 6, 17, udp)),
+      ethernet_frame(0x0800, ipv4_packet(7, 8, 17, udp_with_payload)),
+      ethernet_frame(0x0800, ipv4_packet(9, 10, 6, tcp, {.ihl_words = 6})),
+      ethernet_frame(0x0800, ipv4_packet(11, 12, 17, udp, {.ihl_words = 7})),
+      ethernet_frame(0x0800, ipv4_packet(13, 14, 6, tcp, {.fragment = 0x2000})),
+      ethernet_frame(0x0800, ipv4_packet(15, 16, 6, tcp, {.fragment = 0x0001})),
+      ethernet_frame(0x0800,
+                     ipv4_packet(17, 18, 17, udp, {.fragment = 0x00b9})),
+      ethernet_frame(0x0800, ipv4_packet(19, 20, 6, tcp), 1),
+      ethernet_frame(0x0800, ipv4_packet(21, 22, 1, Bytes(40, std::byte{0}))),
+  };
+  RawRecord record;
+  record.timestamp_ns = 123'456'789;
+  record.original_length = 1500;
+  record.link_type = datapath::kLinkTypeEthernet;
+  for (const Bytes& frame : frames) {
+    for (std::size_t length = 0; length <= frame.size(); ++length) {
+      record.bytes = std::span<const std::byte>(frame).subspan(0, length);
+      SCOPED_TRACE("prefix " + std::to_string(length));
+      expect_fast_path_matches_generic(record);
+    }
+    Bytes mutated = frame;
+    record.bytes = mutated;
+    for (std::size_t position = 0; position < frame.size(); ++position) {
+      for (unsigned value = 0; value < 256; ++value) {
+        mutated[position] = std::byte{static_cast<std::uint8_t>(value)};
+        SCOPED_TRACE("byte " + std::to_string(position) + " = " +
+                     std::to_string(value));
+        expect_fast_path_matches_generic(record);
+      }
+      mutated[position] = frame[position];
+    }
+  }
+}
+
 // --- hostile capture battery ------------------------------------------------
 
 TEST(HostileCapture, UnrecognizedMagicThrows) {
@@ -899,15 +965,16 @@ TEST(HostileCapture, EveryPrefixTruncationSweep) {
   }
 }
 
-TEST(HostileCapture, SeededMutationFuzzNeverCrashes) {
-  // Fuzz-lite: deterministic seeded corruption of well-formed captures —
-  // byte flips, random truncation, and random splices — plus fully random
-  // buffers. Every input must come out as typed outcomes with a consistent
-  // ledger (checked inside ingest_survives), which ASan/UBSan then audits.
+// Fuzz-lite corpus: deterministic seeded corruption of well-formed
+// captures — byte flips, random truncation, and random splices — plus fully
+// random buffers. The decode golden digests below pin what the decoder makes
+// of exactly these inputs, so the generator must not change.
+std::vector<Bytes> seeded_mutation_corpus() {
   common::Xoshiro256 rng(0xfcaf002d);
   const std::vector<Bytes> seeds = {
       good_classic_capture(false), good_classic_capture(true),
       good_pcapng_capture(false), good_pcapng_capture(true)};
+  std::vector<Bytes> corpus;
   for (int round = 0; round < 400; ++round) {
     Bytes mutated = seeds[round % seeds.size()];
     const int flips = 1 + static_cast<int>(rng.next() % 8);
@@ -924,15 +991,204 @@ TEST(HostileCapture, SeededMutationFuzzNeverCrashes) {
         put8(mutated, static_cast<std::uint8_t>(rng.next()));
       }
     }
-    ingest_survives(mutated);
+    corpus.push_back(std::move(mutated));
   }
   for (int round = 0; round < 100; ++round) {
     Bytes noise(1 + rng.next() % 512, std::byte{0});
     for (std::byte& b : noise) {
       b = std::byte{static_cast<std::uint8_t>(rng.next())};
     }
-    ingest_survives(noise);
+    corpus.push_back(std::move(noise));
   }
+  return corpus;
+}
+
+TEST(HostileCapture, SeededMutationFuzzNeverCrashes) {
+  // Every input must come out as typed outcomes with a consistent ledger
+  // (checked inside ingest_survives), which ASan/UBSan then audits.
+  for (const Bytes& input : seeded_mutation_corpus()) ingest_survives(input);
+}
+
+// --- decode golden digests ------------------------------------------------
+// A digest of everything decode_capture reports (the whole DecodeStats
+// ledger and every trace packet's key, bytes and timestamp) plus every
+// record's full parse (outcome, tuple, IP version), over a fixed corpus. The
+// expected values were recorded with the byte-at-a-time decoder that
+// preceded the one-window header reads and the Ethernet/IPv4 fast path; any
+// change in what the decoder makes of these bytes changes a digest.
+
+class Digest {
+ public:
+  void add(std::uint64_t value) {
+    for (int i = 0; i < 8; ++i) {
+      state_ ^= (value >> (8 * i)) & 0xff;
+      state_ *= 0x100000001b3ull;  // FNV-1a 64
+    }
+  }
+  std::uint64_t value() const { return state_; }
+
+ private:
+  std::uint64_t state_ = 0xcbf29ce484222325ull;
+};
+
+void digest_decode(Digest& digest, std::span<const std::byte> data) {
+  if (data.empty()) return;
+  try {
+    const DecodedCapture decoded = datapath::decode_capture(data);
+    const datapath::DecodeStats& stats = decoded.stats;
+    digest.add(stats.capture.records);
+    digest.add(stats.capture.truncated);
+    digest.add(stats.capture.malformed_skipped);
+    digest.add(stats.capture.malformed_terminal);
+    digest.add(stats.capture.blocks_skipped);
+    digest.add(static_cast<std::uint64_t>(stats.capture_end));
+    digest.add(stats.parsed);
+    for (const std::uint64_t count : stats.parse_outcomes) digest.add(count);
+    digest.add(decoded.trace.size());
+    for (const flow::Packet& packet : decoded.trace.packets()) {
+      digest.add(packet.key.value);
+      digest.add(packet.bytes);
+      digest.add(packet.timestamp_ns);
+    }
+    PcapReader reader(data);
+    RawRecord record;
+    while (reader.next(record) == RecordOutcome::kRecord) {
+      ParsedPacket parsed;
+      const ParseOutcome outcome = parse_packet(record, parsed);
+      digest.add(static_cast<std::uint64_t>(outcome));
+      if (outcome != ParseOutcome::kOk) continue;
+      digest.add(parsed.tuple.src_ip);
+      digest.add(parsed.tuple.dst_ip);
+      digest.add(parsed.tuple.src_port);
+      digest.add(parsed.tuple.dst_port);
+      digest.add(parsed.tuple.protocol);
+      digest.add(parsed.ip_version);
+      digest.add(parsed.wire_bytes);
+      digest.add(parsed.timestamp_ns);
+    }
+  } catch (const PcapError&) {
+    digest.add(0x9e3779b97f4a7c15ull);  // structural rejection
+  }
+}
+
+// Every L2-L4 shape the parser distinguishes, good and damaged, plus every
+// prefix of an Ethernet/IPv4 TCP and UDP frame.
+std::vector<Bytes> golden_frames() {
+  const Bytes tcp = tcp_header(1111, 80);
+  const Bytes udp = udp_header(2222, 53, 8);
+  std::vector<Bytes> frames = {
+      tcp4_frame(0x0a000001, 0x0a000002, 1234, 80),
+      ethernet_frame(0x0800, ipv4_packet(0x0b000001, 0x0b000002, 17, udp)),
+      ethernet_frame(0x0800, ipv4_packet(3, 4, 6, tcp, {.ihl_words = 6})),
+      ethernet_frame(0x0800, ipv4_packet(5, 6, 17, udp, {.ihl_words = 15})),
+      ethernet_frame(0x0800, ipv4_packet(7, 8, 6, tcp, {.ihl_words = 4})),
+      ethernet_frame(0x0800, ipv4_packet(9, 10, 6, tcp, {.total_length = 19})),
+      ethernet_frame(0x0800, ipv4_packet(11, 12, 6, tcp, {.version = 6})),
+      ethernet_frame(0x0800, ipv4_packet(13, 14, 6, tcp, {.fragment = 0x2000})),
+      ethernet_frame(0x0800, ipv4_packet(15, 16, 6, tcp, {.fragment = 0x0001})),
+      ethernet_frame(0x0800,
+                     ipv4_packet(17, 18, 17, udp, {.fragment = 0x4000})),
+      ethernet_frame(0x0800, ipv4_packet(19, 20, 6, tcp_header(1, 2, 4))),
+      ethernet_frame(0x0800, ipv4_packet(21, 22, 6, tcp_header(1, 2, 15))),
+      ethernet_frame(0x0800, ipv4_packet(23, 24, 17, udp_header(3, 4, 7))),
+      ethernet_frame(0x0800, ipv4_packet(25, 26, 1, Bytes(8, std::byte{8}))),
+      ethernet_frame(0x0800, ipv4_packet(27, 28, 47, Bytes(4, std::byte{0}))),
+      ethernet_frame(0x0800, ipv4_packet(29, 30, 6, tcp), 1),
+      ethernet_frame(0x0800, ipv4_packet(31, 32, 17, udp), 2),
+      ethernet_frame(0x0800, ipv4_packet(33, 34, 6, tcp), 4),
+      ethernet_frame(0x0800, ipv4_packet(35, 36, 6, tcp), 5),
+      ethernet_frame(0x86DD, ipv6_packet(6, tcp, 3, 4)),
+      ethernet_frame(0x86DD, ipv6_packet(17, udp, 5, 6), 1),
+      ethernet_frame(0x0806, Bytes(28, std::byte{0})),
+      ethernet_frame(0x88cc, Bytes(16, std::byte{1})),
+  };
+  const std::size_t full = frames.size();
+  for (std::size_t f = 0; f < 2; ++f) {
+    const Bytes frame = frames[f];
+    for (std::size_t length = 0; length < frame.size(); ++length) {
+      frames.emplace_back(frame.begin(),
+                          frame.begin() + static_cast<std::ptrdiff_t>(length));
+    }
+  }
+  // One byte past each full frame, too (trailing payload is ignored).
+  for (std::size_t f = 0; f < full; ++f) {
+    Bytes longer = frames[f];
+    put8(longer, 0xab);
+    frames.push_back(std::move(longer));
+  }
+  return frames;
+}
+
+Bytes golden_classic_capture(bool be, bool nano) {
+  Bytes capture = classic_header(be, nano);
+  std::uint32_t i = 0;
+  for (const Bytes& frame : golden_frames()) {
+    const auto length = static_cast<std::uint32_t>(frame.size());
+    classic_record(capture, be, 1000 + i, i * 7919, frame, length,
+                   length + (i % 3) * 100);
+    ++i;
+  }
+  return capture;
+}
+
+Bytes golden_pcapng_capture(bool be) {
+  Bytes capture = shb(be);
+  append(capture, idb(be, datapath::kLinkTypeEthernet, 0, /*tsresol=*/9));
+  append(capture, idb(be, datapath::kLinkTypeRawIp));
+  append(capture, idb(be, datapath::kLinkTypeNull, 0, /*tsresol=*/0x80 | 10));
+  std::uint64_t ticks = 5'000'000'000ull;
+  for (const Bytes& frame : golden_frames()) {
+    append(capture, epb(be, 0, ticks, frame));
+    ticks += 12'345;
+  }
+  const Bytes ip = ipv4_packet(41, 42, 6, tcp_header(43, 44));
+  append(capture, epb(be, 1, ticks, ip));
+  Bytes null_frame;
+  put32(null_frame, 2, be);  // AF_INET in the capturing host's order
+  append(null_frame, ip);
+  append(capture, epb(be, 2, ticks, null_frame));
+  append(capture, spb(be, 1500, tcp4_frame(45, 46, 47, 48)));
+  return capture;
+}
+
+std::uint64_t golden_digest(std::span<const std::byte> data) {
+  Digest digest;
+  digest_decode(digest, data);
+  return digest.value();
+}
+
+TEST(DecodeGolden, ClassicCapturesArePinned) {
+  EXPECT_EQ(golden_digest(golden_classic_capture(false, false)),
+            0x966dcdf86fab60e9ull);
+  EXPECT_EQ(golden_digest(golden_classic_capture(true, false)),
+            0x966dcdf86fab60e9ull);
+  EXPECT_EQ(golden_digest(golden_classic_capture(false, true)),
+            0x0c1fddfdb086e8ccull);
+  EXPECT_EQ(golden_digest(golden_classic_capture(true, true)),
+            0x0c1fddfdb086e8ccull);
+}
+
+TEST(DecodeGolden, PcapngCapturesArePinned) {
+  EXPECT_EQ(golden_digest(golden_pcapng_capture(false)), 0xf05b04bb80a79cafull);
+  EXPECT_EQ(golden_digest(golden_pcapng_capture(true)), 0xf05b04bb80a79cafull);
+}
+
+TEST(DecodeGolden, CommittedFixtureIsPinned) {
+  std::ifstream file(std::string(FCM_TEST_DATA_DIR) + "/fixture.pcap",
+                     std::ios::binary);
+  ASSERT_TRUE(file);
+  const std::vector<char> raw((std::istreambuf_iterator<char>(file)),
+                              std::istreambuf_iterator<char>());
+  EXPECT_EQ(golden_digest(std::as_bytes(std::span<const char>(raw))),
+            0x8a84bb732ca1292aull);
+}
+
+TEST(DecodeGolden, SeededMutationCorpusIsPinned) {
+  Digest digest;
+  for (const Bytes& input : seeded_mutation_corpus()) {
+    digest_decode(digest, input);
+  }
+  EXPECT_EQ(digest.value(), 0x6c13e304640ccf07ull);
 }
 
 // --- ingest glue ------------------------------------------------------------
@@ -953,7 +1209,6 @@ TEST(CaptureIngest, DecodesToTraceWithWireLengths) {
 
   const DecodedCapture decoded = datapath::decode_capture(capture);
   ASSERT_EQ(decoded.trace.size(), 2u);
-  EXPECT_EQ(decoded.tuples.size(), 2u);
   EXPECT_EQ(decoded.stats.parsed, 2u);
   EXPECT_EQ(decoded.stats.capture.records, 3u);
   EXPECT_EQ(decoded.stats.parse_failures(), 1u);
@@ -961,6 +1216,7 @@ TEST(CaptureIngest, DecodesToTraceWithWireLengths) {
                 ParseOutcome::kUnsupportedEtherType)],
             1u);
   EXPECT_EQ(decoded.trace.packets()[0].key, flow::FlowKey{0x0a000001});
+  EXPECT_EQ(decoded.trace.packets()[1].key, flow::FlowKey{0x0a000001});
   EXPECT_EQ(decoded.trace.packets()[0].bytes, frame.size());
   EXPECT_EQ(decoded.trace.packets()[1].bytes, 1500u);
   EXPECT_EQ(decoded.stats.capture_end, RecordOutcome::kEndOfCapture);
